@@ -143,7 +143,8 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
         "progress": [
             {"stage": rec["stage"], "k": rec["k"], "winner": int(rec["winner"]),
              "f_max": rec["f_max"],
-             "scores": {str(c): s for c, s in rec["scores"].items()}}
+             "scores": {str(c): s for c, s in rec["scores"].items()},
+             "errors": {str(c): e for c, e in rec["errors"].items()}}
             for rec in run.progress
         ],
     })

@@ -5,8 +5,13 @@ interior nodes, with L the 5-point discretization of -Laplace and
 homogeneous Dirichlet data.  It is solved by a relaxed fixed-point
 iteration: the nonlinearity is frozen at the previous iterate, a Poisson
 problem is solved, and the new iterate is a convex combination of old and
-new.  The linearized adjoint system couples the two components through the
-transposed pointwise Jacobian of g and is solved directly.
+new.
+
+The linearized adjoint system couples the two components through the
+transposed pointwise Jacobian of g.  Because the lifted coupling
+``g = (gamma1 G, -gamma2 G)`` is rank one at every node, the adjoint reduces
+to one symmetric scalar problem, solved by conjugate gradients
+preconditioned with the exact Poisson inverse, plus one Poisson pair solve.
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import NumericalError
-from .grid import DIRECT_SOLVE_MAX_N, NegLaplacian, field_from_interior, interior
+from .grid import NegLaplacian, field_from_interior, interior
 from .nonlinearity import Nonlinearity
 
 
@@ -87,7 +91,11 @@ def solve_semilinear(
 def coupled_linear_matrix(
     op: NegLaplacian, nonlin: Nonlinearity, state: np.ndarray, transpose: bool
 ) -> sp.csr_matrix:
-    """2x2 block system L + J(state) (or J^T) on the interior nodes."""
+    """2x2 block system L + J(state) (or J^T) on the interior nodes.
+
+    Reference assembly of the operator that :func:`solve_adjoint` inverts;
+    no solver path uses it.
+    """
     y1 = interior(state[0])
     y2 = interior(state[1])
     jac = nonlin.jacobian(y1, y2)
@@ -101,18 +109,43 @@ def coupled_linear_matrix(
     return sp.bmat([[lap + j11, j12], [j21, lap + j22]], format="csr")
 
 
-def _solve_coupled(mat: sp.csr_matrix, b: np.ndarray, n: int) -> np.ndarray:
-    if n <= DIRECT_SOLVE_MAX_N:
-        try:
-            q = spla.splu(mat.tocsc()).solve(b)
-        except RuntimeError as exc:  # singular factorization
-            raise NumericalError(f"coupled solve factorization failed: {exc}") from exc
-    else:
-        # J^T breaks symmetry, so use a stabilized Krylov method
-        q, info = spla.gmres(mat, b, rtol=1e-12, atol=0.0, restart=100)
-        if info != 0:
-            raise NumericalError(f"gmres failed to converge (info={info})")
-    return q
+# CG on the scalar problem stops once the L^-1-norm of its residual r has
+# dropped by this factor; the coupled residual is dG_i * L^-1 r
+ADJOINT_CG_REDUCTION = 1e-14
+
+
+def _solve_shifted(op: NegLaplacian, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L + diag c) s = b on interior values by CG preconditioned with L^-1.
+
+    Raises NumericalError labelled "indefinite linearization" if a search
+    direction has nonpositive curvature, which cannot happen while
+    c > -lambda_min(L), in particular for c >= 0.
+    """
+    s = np.zeros_like(b)
+    r = b.copy()
+    z = op.inverse_interior(r)
+    rz = float(np.vdot(r, z))
+    stop = ADJOINT_CG_REDUCTION**2 * rz
+    p = z
+    iterations = 0
+    while rz > stop:
+        if iterations == b.size:
+            raise NumericalError("adjoint conjugate gradient did not converge")
+        ap = op.apply_interior(p) + c * p
+        curvature = float(np.vdot(p, ap))
+        if not curvature > 0.0:
+            raise NumericalError(
+                f"adjoint solve hit an indefinite linearization "
+                f"(curvature {curvature:.3e}, min c = {float(np.min(c)):.3e})")
+        alpha = rz / curvature
+        s += alpha * p
+        r -= alpha * ap
+        z = op.inverse_interior(r)
+        rz_new = float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        iterations += 1
+    return s
 
 
 def solve_adjoint(
@@ -123,21 +156,34 @@ def solve_adjoint(
 ) -> np.ndarray:
     """Solve the linearized transposed system (L + J(state)^T) q = rhs.
 
-    The pointwise 2x2 Jacobian blocks couple the components, so both are
-    solved as one sparse system.  Relative residual is checked to 1e-9;
-    failure (the coupled operator can lose definiteness where g is not
-    monotone) raises NumericalError.
+    With ``J^T = grad G (gamma1, -gamma2)``, the combination
+    ``s = gamma1 q1 - gamma2 q2`` solves the scalar problem
+    ``(L + diag c) s = gamma1 b1 - gamma2 b2`` with
+    ``c = gamma1 dG/dy1 - gamma2 dG/dy2``, and then
+    ``q_i = L^-1 (b_i - dG/dy_i * s)``.  For monotone g, c >= 0 and the
+    scalar operator is SPD.  The relative residual of the full coupled
+    system is checked to 1e-9; an indefinite scalar operator or a failed
+    check raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2,) + op.grid.shape:
         raise ValueError("right-hand side does not live on the operator's grid")
-    b = interior(rhs).reshape(2, -1).ravel()
+    b = interior(rhs)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return op.grid.zero_field()
-    mat = coupled_linear_matrix(op, nonlin, state, transpose=True)
-    q = _solve_coupled(mat, b, op.grid.n)
-    res = np.linalg.norm(mat @ q - b) / bnorm
-    if not np.isfinite(res) or res > 1e-9:
-        raise NumericalError(f"adjoint solve residual {res:.3e} too large")
+    g1, g2 = nonlin.gamma1, nonlin.gamma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        dG = np.stack(nonlin.dG(interior(state[0]), interior(state[1])))
+    if not np.all(np.isfinite(dG)):
+        raise NumericalError("non-finite linearization in the adjoint solve")
+    c = g1 * dG[0] - g2 * dG[1]
+    s = _solve_shifted(op, c, g1 * b[0] - g2 * b[1])
+    q = op.inverse_interior(b - dG * s)
+    # residual of (L + J^T) q = b, with J^T q = dG * (gamma1 q1 - gamma2 q2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = op.apply_interior(q) + dG * (g1 * q[0] - g2 * q[1]) - b
+        rel = np.linalg.norm(res) / bnorm
+    if not rel <= 1e-9:
+        raise NumericalError(f"adjoint solve residual {rel:.3e} too large")
     return field_from_interior(op.grid, q)

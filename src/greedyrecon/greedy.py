@@ -85,12 +85,30 @@ class GreedyRun:
 
 
 def _map_candidates(fn, candidates, threads):
+    """Run ``fn`` on every candidate; returns ({cand: result}, {cand: message}).
+
+    A candidate whose subproblem raises NumericalError is left out of the
+    results and keeps the error message instead.
+    """
+    def guarded(cand):
+        try:
+            return fn(cand), None
+        except NumericalError as exc:
+            return None, str(exc)
+
     if threads > 1 and len(candidates) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, candidates))
+            outcomes = list(pool.map(guarded, candidates))
     else:
-        results = [fn(c) for c in candidates]
-    return dict(zip(candidates, results))
+        outcomes = [guarded(c) for c in candidates]
+    results = {c: r for c, (r, err) in zip(candidates, outcomes) if err is None}
+    errors = {c: err for c, (r, err) in zip(candidates, outcomes) if err is not None}
+    return results, errors
+
+
+def _all_failed(what: str, errors: dict) -> GreedyFailure:
+    cand, message = min(errors.items())
+    return GreedyFailure(f"every {what} failed (candidate {cand}: {message})")
 
 
 def _discrimination_value(ctx: SolverContext, beta, candidate_pos, control) -> float:
@@ -156,29 +174,24 @@ def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
 def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
     """Pick the most distinguishable candidate and its control; swap it to
     position 0.  Returns (control, winner position, f_max, progress record)."""
-    size = ctx.basis.size
+    candidates = list(range(ctx.basis.size))
     zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
-    scores = {}
 
     def attempt(cand):
         rng = stage_rng(cfg.seed, _STAGE_INIT, 0, cand)
-        try:
-            return _optimize_discrimination(ctx, np.zeros(0), cand, cfg,
-                                            [zero_start], rng)
-        except NumericalError:
-            return None
+        return _optimize_discrimination(ctx, np.zeros(0), cand, cfg,
+                                        [zero_start], rng)
 
-    results = _map_candidates(attempt, list(range(size)), cfg.threads)
-    for cand, res in results.items():
-        scores[cand] = None if res is None else res.value
-    if all(s is None for s in scores.values()):
-        raise GreedyFailure("every initialization candidate failed")
+    results, errors = _map_candidates(attempt, candidates, cfg.threads)
+    if not results:
+        raise _all_failed("initialization candidate", errors)
+    scores = {c: (results[c].value if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
     f_max = _discrimination_value(ctx, np.zeros(0), winner, control)
     ctx.basis.swap(0, winner)
     record = {"stage": "initialization", "k": 0, "scores": scores,
-              "winner": winner, "f_max": f_max}
+              "errors": errors, "winner": winner, "f_max": f_max}
     return control, winner, f_max, record
 
 
@@ -199,10 +212,12 @@ def fitting_targets(ctx: SolverContext, candidate_pos: int, controls, cache=None
 
 
 def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
-                      cache=None):
+                      cache=None, errors=None):
     """Fit coefficients on the first k elements for every remaining candidate.
 
-    Returns {candidate position: fitted coefficient vector of length k}.
+    Returns {candidate position: fitted coefficient vector of length k}.  A
+    candidate whose fit fails is left out; if ``errors`` is a dict, its
+    failure message is stored there under the candidate position.
     """
     size = ctx.basis.size
     if not (1 <= k <= size - 1):
@@ -217,18 +232,16 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
 
     def attempt(cand):
         rng = stage_rng(cfg.seed, _STAGE_FIT, k, cand)
-        try:
-            obj = FittingObjective(ctx, controls, all_targets[cand], cfg.nu)
-            return multistart_minimize(obj, [np.zeros(k)], lo, hi,
-                                       cfg.optim_coeff, rng)
-        except NumericalError:
-            return None
+        obj = FittingObjective(ctx, controls, all_targets[cand], cfg.nu)
+        return multistart_minimize(obj, [np.zeros(k)], lo, hi,
+                                   cfg.optim_coeff, rng)
 
-    results = _map_candidates(attempt, list(range(k, size)), cfg.threads)
-    betas = {c: r.x for c, r in results.items() if r is not None}
-    if not betas:
-        raise GreedyFailure(f"every fitting subproblem failed at k={k}")
-    return betas
+    results, failed = _map_candidates(attempt, list(range(k, size)), cfg.threads)
+    if errors is not None:
+        errors.update(failed)
+    if not results:
+        raise _all_failed(f"fitting subproblem at k={k}", failed)
+    return {c: r.x for c, r in results.items()}
 
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
@@ -243,21 +256,19 @@ def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
 
     def attempt(cand):
         rng = stage_rng(cfg.seed, _STAGE_SPLIT, k, cand)
-        try:
-            return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
-        except NumericalError:
-            return None
+        return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
 
-    results = _map_candidates(attempt, sorted(betas.keys()), cfg.threads)
-    scores = {c: (None if r is None else r.value) for c, r in results.items()}
-    if all(s is None for s in scores.values()):
-        raise GreedyFailure(f"every splitting subproblem failed at k={k}")
+    candidates = sorted(betas.keys())
+    results, errors = _map_candidates(attempt, candidates, cfg.threads)
+    if not results:
+        raise _all_failed(f"splitting subproblem at k={k}", errors)
+    scores = {c: (results[c].value if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
     f_max = _discrimination_value(ctx, betas[winner], winner, control)
     ctx.basis.swap(k, winner)
     record = {"stage": "splitting", "k": k, "scores": scores,
-              "winner": winner, "f_max": f_max}
+              "errors": errors, "winner": winner, "f_max": f_max}
     return control, winner, f_max, record
 
 
@@ -279,8 +290,10 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
     target_cache = {}
     k = 1
     while k <= size - 1 and f_max > cfg.tol1:
+        fit_errors = {}
         try:
-            betas = run_fitting_sweep(ctx, k, controls, cfg, cache=target_cache)
+            betas = run_fitting_sweep(ctx, k, controls, cfg, cache=target_cache,
+                                      errors=fit_errors)
             control, winner, f_max, record = run_splitting(
                 ctx, k, betas, cfg, prev_control=controls[-1])
         except GreedyFailure as exc:
@@ -291,6 +304,10 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
         f_hist.append(f_max)
         winners.append(winner)
         swaps.append((k, winner))
+        # a candidate whose fit failed never reaches the splitting step
+        errors = {c: f"fitting: {msg}" for c, msg in fit_errors.items()}
+        errors.update(record["errors"])
+        record["errors"] = dict(sorted(errors.items()))
         progress.append(record)
         betas_last = betas
         k += 1

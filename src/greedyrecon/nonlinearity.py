@@ -73,9 +73,9 @@ class MonomialBasis:
 
         Returns an array of shape (K,) + broadcast(y1, y2).shape.
         """
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        return np.stack([y1**i1 * y2**i2 for i1, i2 in self.ordered_exponents()])
+        p1 = powers(y1, self.degree)
+        p2 = powers(y2, self.degree)
+        return np.stack([p1[i1] * p2[i2] for i1, i2 in self.ordered_exponents()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,29 +141,45 @@ class BasisCombo(Nonlinearity):
         object.__setattr__(self, "coeffs", c)
 
     def _terms(self):
-        exps = self.basis.ordered_exponents()
-        return [(self.coeffs[j], exps[j]) for j in range(self.coeffs.size)]
+        """Nonzero (coefficient, exponent pair) terms in the current order."""
+        return [(self.coeffs[j], self.basis.exponent(j))
+                for j in np.flatnonzero(self.coeffs)]
+
+    def _power_tables(self, terms, y1, y2):
+        """Power tables of y1 and y2 up to the largest exponents in ``terms``."""
+        return (powers(y1, max((e[0] for _, e in terms), default=0)),
+                powers(y2, max((e[1] for _, e in terms), default=0)))
 
     def G(self, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        total = np.zeros(np.broadcast(y1, y2).shape)
-        for c, (i1, i2) in self._terms():
-            if c != 0.0:
-                total += c * y1**i1 * y2**i2
+        terms = self._terms()
+        p1, p2 = self._power_tables(terms, y1, y2)
+        total = np.zeros(np.broadcast(p1[0], p2[0]).shape)
+        for c, (i1, i2) in terms:
+            total += c * p1[i1] * p2[i2]
         return total
 
     def dG(self, y1, y2):
-        d1 = np.zeros(np.broadcast(y1, y2).shape)
+        terms = self._terms()
+        p1, p2 = self._power_tables(terms, y1, y2)
+        d1 = np.zeros(np.broadcast(p1[0], p2[0]).shape)
         d2 = np.zeros_like(d1)
-        for c, (i1, i2) in self._terms():
-            if c == 0.0:
-                continue
+        for c, (i1, i2) in terms:
             if i1 > 0:
-                d1 += c * i1 * y1 ** (i1 - 1) * y2**i2
+                d1 += c * i1 * p1[i1 - 1] * p2[i2]
             if i2 > 0:
-                d2 += c * i2 * y1**i1 * y2 ** (i2 - 1)
+                d2 += c * i2 * p1[i1] * p2[i2 - 1]
         return d1, d2
+
+
+def powers(y, degree: int) -> list:
+    """Powers [y^0, ..., y^degree] of an array, by repeated multiplication."""
+    y = np.asarray(y, dtype=float)
+    table = [np.ones_like(y)]
+    if degree >= 1:
+        table.append(y)
+    for _ in range(degree - 1):
+        table.append(table[-1] * y)
+    return table
 
 
 def unit_combo(basis: MonomialBasis, position: int, gamma1: float, gamma2: float) -> BasisCombo:

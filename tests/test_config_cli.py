@@ -78,6 +78,9 @@ class TestCliLifecycle:
         for name in ("config.json", "basis.json", "controls.csv", "greedy.json",
                      "summary.json"):
             assert (art / name).exists()
+        progress = json.loads((art / "greedy.json").read_text())["progress"]
+        # every stage record names its failed candidates, none here
+        assert progress and all(rec["errors"] == {} for rec in progress)
         assert main(["--config", str(cfg), "identify"]) == 0
         for name in ("identified.csv", "identify.json", "error_field.csv",
                      "taylor.csv"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
 from greedyrecon import (
     BasisCombo,
@@ -15,6 +17,8 @@ from greedyrecon import (
     solve_adjoint,
     solve_semilinear,
 )
+from greedyrecon.forward import coupled_linear_matrix
+from greedyrecon.grid import inner_l2
 
 from conftest import kappa, random_control
 
@@ -149,13 +153,115 @@ class TestSolveAdjoint:
         state = random_control(g, rng)
         rhs = random_control(g, rng)
         q = solve_adjoint(op, nonlin, state, rhs)
-        jac = nonlin.jacobian(state[0], state[1])
-        coupled = op.apply(q)
-        coupled[0] += jac[0, 0] * q[0] + jac[1, 0] * q[1]
-        coupled[1] += jac[0, 1] * q[0] + jac[1, 1] * q[1]
-        coupled[:, [0, -1], :] = 0.0
-        coupled[:, :, [0, -1]] = 0.0
+        coupled = coupled_action(op, nonlin, state, q, transpose=True)
         assert l2_norm(g, coupled - rhs) / l2_norm(g, rhs) < 1e-9
+
+
+def assume_definite(op, nonlin, state):
+    """Keep examples whose scalar operator L + diag(c) is safely SPD."""
+    d1, d2 = nonlin.dG(state[0, 1:-1, 1:-1], state[1, 1:-1, 1:-1])
+    c = nonlin.gamma1 * d1 - nonlin.gamma2 * d2
+    assume(np.min(c) > -0.9 * op.eigenvalues[0, 0])
+
+
+def coupled_action(op, nonlin, state, v, transpose):
+    """(L + J) v or (L + J^T) v from the stencil and the pointwise Jacobian."""
+    jac = nonlin.jacobian(state[0], state[1])
+    if transpose:
+        jac = jac.transpose(1, 0, 2, 3)
+    out = op.apply(v) + np.einsum("ij...,j...->i...", jac, v)
+    out[:, [0, -1], :] = 0.0
+    out[:, :, [0, -1]] = 0.0
+    return out
+
+
+# random interactions for the reduced adjoint: monomial combinations with
+# coefficients of either sign, or one of the closed forms, at gamma1 >= gamma2
+gammas = st.tuples(st.floats(0.05, 3.0), st.floats(0.2, 1.0)).map(
+    lambda t: (t[0], t[0] * t[1]))
+nonlinearities = st.one_of(
+    st.builds(lambda gam, deg, seed: BasisCombo(
+        *gam, basis=MonomialBasis(deg),
+        coeffs=np.random.default_rng(seed).uniform(
+            -0.5, 1.0, MonomialBasis(deg).size)),
+        gammas, st.integers(0, 4), st.integers(0, 2**32 - 1)),
+    st.builds(lambda gam, kind: ClosedForm(*gam, kind=kind),
+              gammas, st.sampled_from(["bilinear", "sinusoidal", "exponential"])),
+)
+
+
+class TestReducedAdjoint:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 24), nonlin=nonlinearities, seed=st.integers(0, 2**32 - 1))
+    def test_matches_coupled_sparse_direct(self, n, nonlin, seed):
+        g = Grid(n, 1.0)
+        op = NegLaplacian(g)
+        rng = np.random.default_rng(seed)
+        state = 0.5 * random_control(g, rng)
+        assume_definite(op, nonlin, state)
+        rhs = random_control(g, rng)
+        q = solve_adjoint(op, nonlin, state, rhs)
+        mat = coupled_linear_matrix(op, nonlin, state, transpose=True)
+        ref = spla.spsolve(mat.tocsc(), rhs[:, 1:-1, 1:-1].reshape(-1))
+        got = q[:, 1:-1, 1:-1].reshape(-1)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.all(q[:, [0, -1], :] == 0.0) and np.all(q[:, :, [0, -1]] == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 20), nonlin=nonlinearities, seed=st.integers(0, 2**32 - 1))
+    def test_duality_with_linearized_forward_operator(self, n, nonlin, seed):
+        # <(L + J^T) q, v> = <q, (L + J) v>, and with q the adjoint solution
+        # of rhs b the left side is <b, v>
+        g = Grid(n, 1.0)
+        op = NegLaplacian(g)
+        rng = np.random.default_rng(seed)
+        state = 0.5 * random_control(g, rng)
+        assume_definite(op, nonlin, state)
+        q = random_control(g, rng)
+        v = random_control(g, rng)
+        lhs = inner_l2(g, coupled_action(op, nonlin, state, q, True), v)
+        rhs = inner_l2(g, q, coupled_action(op, nonlin, state, v, False))
+        scale = inner_l2(g, np.abs(coupled_action(op, nonlin, state, q, True)), np.abs(v))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+        b = random_control(g, rng)
+        adj = solve_adjoint(op, nonlin, state, b)
+        forward_v = coupled_action(op, nonlin, state, v, False)
+        scale = inner_l2(g, np.abs(b), np.abs(v))
+        assert abs(inner_l2(g, b, v) - inner_l2(g, adj, forward_v)) <= 1e-9 * scale
+
+    def test_indefinite_linearization_raises(self):
+        # c = gamma1 * dG/dy1 = 0.2 * (-30) = -6 lies below -lambda_min(L),
+        # about -pi^2/2, so the scalar operator is indefinite; the first
+        # search direction from the smoothest mode has negative curvature
+        g = Grid(16, 1.0)
+        basis = MonomialBasis(1)
+        coeffs = np.zeros(basis.size)
+        coeffs[basis.position_of((1, 0))] = -30.0
+        nonlin = BasisCombo(0.2, 0.2, basis=basis, coeffs=coeffs)
+        rhs = np.stack([g.sample_scalar(kappa), g.zero_scalar()])
+        with pytest.raises(NumericalError, match="indefinite linearization"):
+            solve_adjoint(NegLaplacian(g), nonlin, g.zero_field(), rhs)
+
+    def test_monotone_counterpart_still_solves(self):
+        g = Grid(16, 1.0)
+        op = NegLaplacian(g)
+        basis = MonomialBasis(1)
+        coeffs = np.zeros(basis.size)
+        coeffs[basis.position_of((1, 0))] = 30.0
+        nonlin = BasisCombo(0.2, 0.2, basis=basis, coeffs=coeffs)
+        rhs = np.stack([g.sample_scalar(kappa), g.zero_scalar()])
+        q = solve_adjoint(op, nonlin, g.zero_field(), rhs)
+        residual = coupled_action(op, nonlin, g.zero_field(), q, True) - rhs
+        assert l2_norm(g, residual) <= 1e-9 * l2_norm(g, rhs)
+
+    def test_non_finite_linearization_raises(self):
+        g = Grid(8, 1.0)
+        state = np.zeros((2,) + g.shape)
+        state[:, 3, 3] = 400.0
+        rhs = random_control(g, np.random.default_rng(9))
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_adjoint(NegLaplacian(g), ClosedForm(0.2, 0.2, kind="exponential"),
+                          state, rhs)
 
 
 class TestWellposednessProbes:

@@ -204,7 +204,29 @@ class TestFailureHandling:
         monkeypatch.setattr(greedy_mod, "_optimize_discrimination", flaky)
         run = run_greedy(ctx, cfg)
         assert run.progress[0]["scores"][1] is None
+        assert run.progress[0]["errors"] == {1: "injected"}
+        assert all(rec["errors"] == {} for rec in run.progress[1:])
         assert run.k_final >= 1
+
+    def test_fitting_failure_reason_kept_in_splitting_record(self, monkeypatch):
+        ctx = make_context(n=8, degree=1)
+        original = greedy_mod.stage_rng
+
+        def flaky(seed, stage, iteration, candidate):
+            # the fitting subproblem draws its stream first, so raising
+            # here fails the fit of candidate 2 at k=1
+            if (stage, iteration, candidate) == (greedy_mod._STAGE_FIT, 1, 2):
+                from greedyrecon.exceptions import NumericalError
+
+                raise NumericalError("fit injected")
+            return original(seed, stage, iteration, candidate)
+
+        monkeypatch.setattr(greedy_mod, "stage_rng", flaky)
+        run = run_greedy(ctx, fast_config())
+        split = run.progress[1]
+        assert split["stage"] == "splitting"
+        assert split["errors"] == {2: "fitting: fit injected"}
+        assert 2 not in split["scores"]
 
     def test_total_failure_raises_with_partial(self, monkeypatch):
         ctx = make_context(n=8, degree=1)
@@ -215,7 +237,7 @@ class TestFailureHandling:
             raise NumericalError("injected")
 
         monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
-        with pytest.raises(GreedyFailure) as info:
+        with pytest.raises(GreedyFailure, match="candidate 0: injected") as info:
             run_greedy(ctx, fast_config())
         assert info.value.partial is not None
         assert info.value.partial.k_final == 0

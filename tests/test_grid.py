@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from greedyrecon import Grid, NegLaplacian, h1_norm, inner_l2, l2_norm, laplace_norm
+from greedyrecon import (
+    Grid,
+    NegLaplacian,
+    NumericalError,
+    h1_norm,
+    inner_l2,
+    l2_norm,
+    laplace_norm,
+)
 
 from conftest import kappa
 
@@ -107,6 +117,40 @@ class TestLinearSolve:
         op = NegLaplacian(Grid(8, 1.0))
         with pytest.raises(ValueError):
             op.solve(np.zeros((5, 5)))
+
+    def test_non_finite_rhs_rejected(self):
+        g = Grid(8, 1.0)
+        rhs = np.zeros(g.shape)
+        rhs[3, 4] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            NegLaplacian(g).solve(rhs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), x_max=st.floats(0.25, 4.0),
+           seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    def test_sine_transform_solve_matches_sparse_direct(self, n, x_max, seed, pair):
+        g = Grid(n, x_max)
+        op = NegLaplacian(g)
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(((2,) if pair else ()) + g.shape)
+        u = op.solve(rhs)
+        assert np.all(u[..., [0, -1], :] == 0.0) and np.all(u[..., :, [0, -1]] == 0.0)
+        for k in range(2 if pair else 1):
+            b = (rhs[k] if pair else rhs)[1:-1, 1:-1].reshape(-1)
+            got = (u[k] if pair else u)[1:-1, 1:-1].reshape(-1)
+            ref = spla.spsolve(op.matrix.tocsc(), b)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    def test_interior_stencil_matches_matrix(self, n, seed):
+        g = Grid(n, 1.0)
+        op = NegLaplacian(g)
+        u = np.random.default_rng(seed).standard_normal((n - 1, n - 1))
+        ref = (op.matrix @ u.reshape(-1)).reshape(u.shape)
+        # summation order differs, so the slack is roundoff of the 5 terms
+        scale = 8.0 * np.abs(u).max() / g.h**2
+        assert np.abs(op.apply_interior(u) - ref).max() <= 1e-15 * scale
 
 
 class TestNorms:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedyrecon import (
     BasisCombo,
@@ -11,6 +12,7 @@ from greedyrecon import (
     taylor_coeffs,
     unit_combo,
 )
+from greedyrecon.nonlinearity import powers
 
 
 class TestBasisEnumeration:
@@ -139,6 +141,54 @@ class TestJacobian:
             assert jac[0, 0] == pytest.approx(0.3 * d1, rel=1e-6, abs=1e-8)
             assert jac[0, 1] == pytest.approx(0.3 * d2, rel=1e-6, abs=1e-8)
             assert jac[1, 0] == pytest.approx(-0.2 * d1, rel=1e-6, abs=1e-8)
+
+
+def power_formula_G(combo, y1, y2):
+    """Reference sum_j c_j y1**i1 * y2**i2 with numpy's power operator."""
+    exps = combo.basis.ordered_exponents()
+    return sum(c * y1**e[0] * y2**e[1] for c, e in zip(combo.coeffs, exps))
+
+
+def power_formula_dG(combo, y1, y2):
+    exps = combo.basis.ordered_exponents()
+    d1 = sum(c * e[0] * y1 ** max(e[0] - 1, 0) * y2**e[1]
+             for c, e in zip(combo.coeffs, exps))
+    d2 = sum(c * e[1] * y1**e[0] * y2 ** max(e[1] - 1, 0)
+             for c, e in zip(combo.coeffs, exps))
+    return d1, d2
+
+
+class TestPowerTables:
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           size=st.integers(0, 28), shuffle=st.booleans())
+    def test_G_dG_and_monomials_match_power_formulas(self, degree, seed, size, shuffle):
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(degree)
+        if shuffle:
+            basis.order = rng.permutation(basis.size)
+        coeffs = rng.uniform(-1.0, 1.0, min(size, basis.size))
+        coeffs[rng.random(coeffs.size) < 0.3] = 0.0
+        combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
+        y1, y2 = rng.uniform(-2.0, 2.0, (2, 5, 7))
+        mono = basis.monomials(y1, y2)
+        ref_mono = np.stack([y1**i1 * y2**i2 for i1, i2 in basis.ordered_exponents()])
+        assert np.all(np.abs(mono - ref_mono) <= 1e-13 * np.abs(ref_mono))
+        # each term differs from its formula by a few roundings, so the
+        # slack scales with the sum of the absolute terms
+        magnitude = BasisCombo(0.3, 0.2, basis=basis, coeffs=np.abs(coeffs))
+        a1, a2 = np.abs(y1), np.abs(y2)
+        assert np.all(np.abs(combo.G(y1, y2) - power_formula_G(combo, y1, y2))
+                      <= 1e-13 * power_formula_G(magnitude, a1, a2))
+        for got, ref, scale in zip(combo.dG(y1, y2), power_formula_dG(combo, y1, y2),
+                                   power_formula_dG(magnitude, a1, a2)):
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_power_table_shapes_and_scalars(self):
+        assert [float(v) for v in powers(1.5, 3)] == [1.0, 1.5, 2.25, 3.375]
+        assert np.array_equal(powers(np.array([2.0, -1.0]), 3)[3], [8.0, -1.0])
+        table = powers(0.5, 0)
+        assert len(table) == 1 and float(table[0]) == 1.0
 
 
 class TestPermutationSafety:
