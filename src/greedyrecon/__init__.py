@@ -24,7 +24,7 @@ from .objectives import (
     project_box,
     vec_to_control,
 )
-from .optimize import OptimConfig, OptimResult, maximize_box, minimize_box
+from .optimize import OptimConfig, OptimResult, minimize_box
 from .analysis import (
     ErrorField,
     LandscapeScan,

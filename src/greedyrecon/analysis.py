@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .forward import solve_semilinear
 from .grid import Grid, h1_norm, laplace_norm
-from .greedy import _STAGE_IDENTIFY, stage_rng
+from .greedy import STAGE_IDENTIFY, stage_rng
 from .nonlinearity import MonomialBasis, Nonlinearity
 from .objectives import ControlBox, IdentificationObjective, SolverContext
 from .optimize import OptimConfig, multistart_minimize
@@ -79,7 +79,7 @@ def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
     if k is not None:
         hi[k:] = 0.0
     obj = IdentificationObjective(ctx, controls, data)
-    rng = stage_rng(seed, _STAGE_IDENTIFY, 0, 0)
+    rng = stage_rng(seed, STAGE_IDENTIFY, 0, 0)
     res = multistart_minimize(obj, [np.zeros(size)], lo, hi, optim, rng)
     return res.x, res.value, res
 

@@ -101,6 +101,22 @@ def _load_artifact(out: Path):
     return cfg, ctx, controls, basis_doc
 
 
+def read_identified(out: Path) -> np.ndarray | None:
+    """Coefficients stored by identify, by basis position; None if absent."""
+    path = out / "identified.csv"
+    if not path.exists():
+        return None
+    rows = path.read_text().strip().split("\n")[1:]
+    return np.array([float(r.split(",")[3]) for r in rows])
+
+
+def write_taylor(out: Path, kind: str, alpha, basis) -> None:
+    table = analysis.taylor_error_table(kind, alpha, basis)
+    write_csv(out / "taylor.csv",
+              ["i1", "i2", "truth_coeff", "identified_coeff", "abs_error"],
+              [(i1, i2, t, a, err) for (i1, i2), (t, a, err) in sorted(table.items())])
+
+
 def _write_summary(out: Path, updates: dict) -> None:
     path = out / "summary.json"
     payload = json.loads(path.read_text()) if path.exists() else {}
@@ -187,10 +203,7 @@ def cmd_identify(out: Path, truth_override: str | None = None) -> int:
     )
     offset = float(np.max(np.abs(efield.samples)))
 
-    table = analysis.taylor_error_table(kind, alpha, ctx.basis)
-    write_csv(out / "taylor.csv",
-              ["i1", "i2", "truth_coeff", "identified_coeff", "abs_error"],
-              [(i1, i2, t, a, err) for (i1, i2), (t, a, err) in sorted(table.items())])
+    write_taylor(out, kind, alpha, ctx.basis)
 
     write_json(out / "identify.json", {
         "truth": kind,
@@ -261,11 +274,8 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
     truth = truth_nonlinearity(cfg, kind)
     data = analysis.generate_data(truth, controls, ctx)
     idx = _resolve_pair(ctx, pair)
-    ident_path = out / "identified.csv"
-    if ident_path.exists():
-        rows = ident_path.read_text().strip().split("\n")[1:]
-        alpha_base = np.array([float(r.split(",")[3]) for r in rows])
-    else:
+    alpha_base = read_identified(out)
+    if alpha_base is None:
         alpha_base = np.zeros(ctx.basis.size)
     lattice = np.linspace(lo, hi, points)
     scan = analysis.landscape_scan(controls, data, ctx, alpha_base, idx,
@@ -279,16 +289,14 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
 
 
 def cmd_taylor(out: Path) -> int:
-    cfg, ctx, _, _ = _load_artifact(out)
-    ident_path = out / "identified.csv"
-    if not ident_path.exists():
+    _, ctx, _, _ = _load_artifact(out)
+    alpha = read_identified(out)
+    if alpha is None:
         raise ConfigError("artifact has no identified coefficients; run identify")
-    rows = ident_path.read_text().strip().split("\n")[1:]
-    alpha = np.array([float(r.split(",")[3]) for r in rows])
-    table = analysis.taylor_error_table(cfg.truth, alpha, ctx.basis)
-    write_csv(out / "taylor.csv",
-              ["i1", "i2", "truth_coeff", "identified_coeff", "abs_error"],
-              [(i1, i2, t, a, err) for (i1, i2), (t, a, err) in sorted(table.items())])
+    # the truth the coefficients were identified against, which may be an
+    # identify --truth override of the configured one
+    kind = json.loads((out / "identify.json").read_text())["truth"]
+    write_taylor(out, kind, alpha, ctx.basis)
     return EXIT_OK
 
 

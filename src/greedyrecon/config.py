@@ -3,7 +3,10 @@
 Schema (config_version 1): top-level keys are the fields of
 ExperimentConfig; ``optim_coeff`` and ``optim_control`` are nested objects
 with the fields of OptimConfig.  Unknown keys are rejected on load, and
-every constraint of the owning types is re-validated.  Defaults follow the
+every constraint of the owning types is re-validated.  Files written before
+the projected-gradient optimizer was removed carry six more optimizer keys
+(``RETIRED_OPTIM_KEYS``); they load when those keys hold the values that
+selected L-BFGS-B, and the keys are dropped.  Defaults follow the
 reference experiment: unit half-width, bounds (-1,-1)..(1,1), couplings
 gamma1 = gamma2 = 0.2, no relaxation, stopping tolerance at double
 precision epsilon.
@@ -13,12 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .forward import FixedPointConfig
-from .greedy import GreedyConfig
+from .greedy import DEFAULT_OPTIM_COEFF, DEFAULT_OPTIM_CONTROL, GreedyConfig
 from .grid import Grid, NegLaplacian
 from .nonlinearity import CLOSED_FORM_KINDS, ClosedForm, MonomialBasis
 from .objectives import ControlBox, SolverContext
@@ -27,16 +30,30 @@ from .optimize import OptimConfig
 CONFIG_VERSION = 1
 
 
+# optimizer keys that older files carry, with the only values they may hold:
+# the ones that selected the L-BFGS-B engine that remains
+RETIRED_OPTIM_KEYS = {"step_init": 1.0, "armijo_c": 1e-4, "shrink": 0.5,
+                      "memory": 10, "seed": 0, "max_backtracks": 50}
+
+
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _default_optim_coeff() -> OptimConfig:
-    return OptimConfig(grad_tol=1e-8, restarts=1)
-
-
-def _default_optim_control() -> OptimConfig:
-    return OptimConfig(grad_tol=1e-6, max_iters=80, restarts=1)
+def _optim_from_dict(key: str, value, default: OptimConfig) -> OptimConfig:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    value = dict(value)
+    for name, only in RETIRED_OPTIM_KEYS.items():
+        if name in value and value.pop(name) != only:
+            raise ConfigError(f"{key}.{name} is retired and loads only at {only!r}")
+    bad = set(value) - {f.name for f in fields(OptimConfig)}
+    if bad:
+        raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
+    try:
+        return dataclasses.replace(default, **value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass
@@ -60,8 +77,8 @@ class ExperimentConfig:
     threads: int = 1
     error_lattice_m: int = 101
     output_dir: str = "runs/out"
-    optim_coeff: OptimConfig = field(default_factory=_default_optim_coeff)
-    optim_control: OptimConfig = field(default_factory=_default_optim_control)
+    optim_coeff: OptimConfig = DEFAULT_OPTIM_COEFF
+    optim_control: OptimConfig = DEFAULT_OPTIM_CONTROL
 
     def __post_init__(self):
         self.validate()
@@ -111,23 +128,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        optim_known = {f.name for f in fields(OptimConfig)}
         for key, value in data.items():
-            if key in ("optim_coeff", "optim_control"):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} must be an object")
-                bad = set(value) - optim_known
-                if bad:
-                    raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
-                base = dataclasses.asdict(
-                    _default_optim_coeff() if key == "optim_coeff"
-                    else _default_optim_control()
-                )
-                base.update(value)
-                try:
-                    kwargs[key] = OptimConfig(**base)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+            if key == "optim_coeff":
+                kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_COEFF)
+            elif key == "optim_control":
+                kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_CONTROL)
             elif key in ("eps_a", "eps_b"):
                 kwargs[key] = tuple(float(v) for v in value)
             else:
@@ -163,7 +168,6 @@ def build_context(cfg: ExperimentConfig) -> SolverContext:
 def greedy_config(cfg: ExperimentConfig) -> GreedyConfig:
     return GreedyConfig(
         box=ControlBox(cfg.eps_a, cfg.eps_b),
-        fp=FixedPointConfig(cfg.lambda_a, cfg.tol2, cfg.ell_max),
         optim_coeff=cfg.optim_coeff,
         optim_control=cfg.optim_control,
         tol1=cfg.tol1,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .exceptions import GreedyFailure, NumericalError
-from .forward import FixedPointConfig
 from .objectives import (
     ControlBox,
     DiscriminationObjective,
@@ -34,10 +33,11 @@ from .objectives import (
 )
 from .optimize import OptimConfig, multistart_maximize, multistart_minimize
 
-_STAGE_INIT = 1
-_STAGE_FIT = 2
-_STAGE_SPLIT = 3
-_STAGE_IDENTIFY = 4
+# stage ids keying the random streams of stage_rng
+STAGE_INIT = 1
+STAGE_FIT = 2
+STAGE_SPLIT = 3
+STAGE_IDENTIFY = 4
 
 
 def stage_rng(seed: int, stage: int, iteration: int, candidate: int) -> np.random.Generator:
@@ -47,12 +47,15 @@ def stage_rng(seed: int, stage: int, iteration: int, candidate: int) -> np.rando
     )
 
 
+DEFAULT_OPTIM_COEFF = OptimConfig(grad_tol=1e-8, restarts=1)
+DEFAULT_OPTIM_CONTROL = OptimConfig(grad_tol=1e-6, max_iters=80, restarts=1)
+
+
 @dataclass(frozen=True)
 class GreedyConfig:
     box: ControlBox = ControlBox((-1.0, -1.0), (1.0, 1.0))
-    fp: FixedPointConfig = FixedPointConfig()
-    optim_coeff: OptimConfig = OptimConfig(grad_tol=1e-8, restarts=1)
-    optim_control: OptimConfig = OptimConfig(grad_tol=1e-6, max_iters=80, restarts=1)
+    optim_coeff: OptimConfig = DEFAULT_OPTIM_COEFF
+    optim_control: OptimConfig = DEFAULT_OPTIM_CONTROL
     tol1: float = float(np.finfo(float).eps)
     nu: float = 1e-6
     alpha_max: float = 1.0
@@ -171,28 +174,41 @@ def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
                                n_random=0)
 
 
-def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
-    """Pick the most distinguishable candidate and its control; swap it to
-    position 0.  Returns (control, winner position, f_max, progress record)."""
-    candidates = list(range(ctx.basis.size))
-    zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
+def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
+                          k: int, betas: dict, starts):
+    """Optimize a control for every candidate in ``betas`` against its fitted
+    surrogate, then swap the winner to position k.
+
+    Returns (control, winner position, f_max, progress record)."""
+    name = "initialization" if stage == STAGE_INIT else "splitting"
 
     def attempt(cand):
-        rng = stage_rng(cfg.seed, _STAGE_INIT, 0, cand)
-        return _optimize_discrimination(ctx, np.zeros(0), cand, cfg,
-                                        [zero_start], rng)
+        rng = stage_rng(cfg.seed, stage, k, cand)
+        return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
 
+    candidates = sorted(betas)
     results, errors = _map_candidates(attempt, candidates, cfg.threads)
     if not results:
-        raise _all_failed("initialization candidate", errors)
+        raise _all_failed(f"{name} subproblem at k={k}", errors)
     scores = {c: (results[c].value if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
-    f_max = _discrimination_value(ctx, np.zeros(0), winner, control)
-    ctx.basis.swap(0, winner)
-    record = {"stage": "initialization", "k": 0, "scores": scores,
+    f_max = _discrimination_value(ctx, betas[winner], winner, control)
+    ctx.basis.swap(k, winner)
+    record = {"stage": name, "k": k, "scores": scores,
               "errors": errors, "winner": winner, "f_max": f_max}
     return control, winner, f_max, record
+
+
+def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
+    """Pick the most distinguishable candidate and its control; swap it to
+    position 0.  Every candidate is discriminated against the zero
+    nonlinearity (``beta=()``), starting from the zero control.
+
+    Returns (control, winner position, f_max, progress record)."""
+    betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
+    zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
+    return _discrimination_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero_start])
 
 
 def fitting_targets(ctx: SolverContext, candidate_pos: int, controls, cache=None):
@@ -231,7 +247,7 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
                    for c in range(k, size)}
 
     def attempt(cand):
-        rng = stage_rng(cfg.seed, _STAGE_FIT, k, cand)
+        rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
         obj = FittingObjective(ctx, controls, all_targets[cand], cfg.nu)
         return multistart_minimize(obj, [np.zeros(k)], lo, hi,
                                    cfg.optim_coeff, rng)
@@ -249,27 +265,10 @@ def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
     """Find the next control and candidate; swap the winner to position k.
 
     Returns (control, winner position, f_max, progress record)."""
-    zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
-    starts = [zero_start]
+    starts = [np.zeros(2 * (ctx.grid.n - 1) ** 2)]
     if prev_control is not None:
         starts.append(control_to_vec(prev_control))
-
-    def attempt(cand):
-        rng = stage_rng(cfg.seed, _STAGE_SPLIT, k, cand)
-        return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
-
-    candidates = sorted(betas.keys())
-    results, errors = _map_candidates(attempt, candidates, cfg.threads)
-    if not results:
-        raise _all_failed(f"splitting subproblem at k={k}", errors)
-    scores = {c: (results[c].value if c in results else None) for c in candidates}
-    winner = _select_winner(scores)
-    control = vec_to_control(ctx.grid, results[winner].x)
-    f_max = _discrimination_value(ctx, betas[winner], winner, control)
-    ctx.basis.swap(k, winner)
-    record = {"stage": "splitting", "k": k, "scores": scores,
-              "errors": errors, "winner": winner, "f_max": f_max}
-    return control, winner, f_max, record
+    return _discrimination_stage(ctx, cfg, STAGE_SPLIT, k, betas, starts)
 
 
 def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:

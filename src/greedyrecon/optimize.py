@@ -1,15 +1,13 @@
 """Box-constrained smooth minimization.
 
-Two engines behind one surface: with quasi-Newton memory enabled
-(``memory > 0``) the descent is delegated to scipy's limited-memory
-projected quasi-Newton (L-BFGS-B), which is exactly the
+The descent is delegated to scipy's limited-memory projected quasi-Newton
+method (L-BFGS-B, ``LBFGS_MEMORY`` correction pairs), which is the
 gradient-projection + limited-memory-curvature method this problem family
-needs; ``memory = 0`` falls back to a plain projected-gradient loop with
-Armijo backtracking.  Both engines keep every iterate inside the box and
-produce a monotone value sequence.  Stationarity is reported as
-``||x - P(x - grad)||_2`` (projected gradient with unit step) and
-``converged`` means that norm fell to ``grad_tol``.  Everything is
-deterministic for fixed inputs and seed.
+needs.  Every iterate stays inside the box and the value sequence is
+monotone.  Stationarity is reported as ``||x - P(x - grad)||_2``
+(projected gradient with unit step) and ``converged`` means that norm fell
+to ``grad_tol``.  Everything is deterministic for fixed inputs and random
+stream.
 """
 
 from __future__ import annotations
@@ -23,25 +21,19 @@ from .exceptions import NumericalError
 from .objectives import ObjectiveEval, project_box
 
 
+# correction pairs kept by L-BFGS-B
+LBFGS_MEMORY = 10
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    memory: int = 10
-    seed: int = 0
     restarts: int = 3
-    max_backtracks: int = 50
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.step_init <= 0:
-            raise ValueError("max_iters, grad_tol and step_init must be positive")
-        if not (0.0 < self.armijo_c < 1.0 and 0.0 < self.shrink < 1.0):
-            raise ValueError("armijo_c and shrink must lie in (0, 1)")
-        if self.memory < 0 or self.restarts < 1 or self.max_backtracks < 1:
-            raise ValueError("memory >= 0, restarts >= 1, max_backtracks >= 1")
+        if self.max_iters < 1 or self.grad_tol <= 0 or self.restarts < 1:
+            raise ValueError("max_iters, grad_tol and restarts must be positive")
 
 
 @dataclass
@@ -95,7 +87,7 @@ def _minimize_lbfgsb(fun, x0, lo, hi, cfg) -> OptimResult:
         bounds=list(zip(lo, hi)),
         callback=callback,
         options={
-            "maxcor": cfg.memory,
+            "maxcor": LBFGS_MEMORY,
             "maxiter": cfg.max_iters,
             "maxfun": 10**8,
             # our objectives live at tiny absolute scales, so the engine's
@@ -117,44 +109,6 @@ def _minimize_lbfgsb(fun, x0, lo, hi, cfg) -> OptimResult:
                        pgn <= cfg.grad_tol, trace)
 
 
-def _backtrack(fun, x, val, grad, t0, lo, hi, cfg):
-    """Armijo search along the projected gradient arc."""
-    t = t0
-    for _ in range(cfg.max_backtracks + 1):
-        x_t = np.clip(x - t * grad, lo, hi)
-        dx = x_t - x
-        gdx = float(np.dot(grad, dx))
-        if gdx < 0.0:
-            v_t = fun(x_t, False).value
-            if np.isfinite(v_t) and v_t <= val + cfg.armijo_c * gdx:
-                return x_t, t
-        t *= cfg.shrink
-    return None
-
-
-def _minimize_projgrad(fun, x0, lo, hi, cfg) -> OptimResult:
-    safe = _wrap_oracle(fun)
-    x = x0
-    val, grad = safe(x, True)
-    pgn = _pg_norm(x, grad, lo, hi)
-    trace = [(0, val, pgn)]
-    step = cfg.step_init
-    it = 0
-    converged = pgn <= cfg.grad_tol
-    while not converged and it < cfg.max_iters:
-        it += 1
-        hit = _backtrack(safe, x, val, grad, step, lo, hi, cfg)
-        if hit is None:
-            return OptimResult(x, val, pgn, it, False, trace)
-        x, t = hit
-        step = min(2.0 * t, 1e12)  # grow the trial step after success
-        val, grad = safe(x, True)
-        pgn = _pg_norm(x, grad, lo, hi)
-        trace.append((it, val, pgn))
-        converged = pgn <= cfg.grad_tol
-    return OptimResult(x, val, pgn, it, converged, trace)
-
-
 def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
     """Minimize fun over the box [lo, hi] from the projection of x0.
 
@@ -166,9 +120,7 @@ def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = project_box(np.asarray(x0, dtype=float), lo, hi)
-    if cfg.memory > 0:
-        return _minimize_lbfgsb(fun, x, lo, hi, cfg)
-    return _minimize_projgrad(fun, x, lo, hi, cfg)
+    return _minimize_lbfgsb(fun, x, lo, hi, cfg)
 
 
 def _negated(fun):
@@ -179,21 +131,12 @@ def _negated(fun):
     return neg
 
 
-def maximize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
-    """Maximize fun over the box; delegates to minimize_box on -fun."""
-    res = minimize_box(_negated(fun), x0, lo, hi, cfg)
-    res.value = -res.value
-    res.trace = [(i, -v, p) for i, v, p in res.trace]
-    return res
-
-
 def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig,
-                        rng: np.random.Generator | None = None,
+                        rng: np.random.Generator,
                         n_random: int | None = None) -> OptimResult:
     """Run minimize_box from each explicit start plus random feasible draws
-    (cfg.restarts unless overridden); the best result wins, first on ties."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    from ``rng`` (cfg.restarts unless overridden); the best result wins,
+    first on ties."""
     if n_random is None:
         n_random = cfg.restarts
     lo = np.asarray(lo, dtype=float)
@@ -209,8 +152,9 @@ def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig,
 
 
 def multistart_maximize(fun, starts, lo, hi, cfg: OptimConfig,
-                        rng: np.random.Generator | None = None,
+                        rng: np.random.Generator,
                         n_random: int | None = None) -> OptimResult:
+    """multistart_minimize on -fun, reported in maximization form."""
     res = multistart_minimize(_negated(fun), starts, lo, hi, cfg, rng, n_random)
     res.value = -res.value
     res.trace = [(i, -v, p) for i, v, p in res.trace]

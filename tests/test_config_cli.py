@@ -65,6 +65,26 @@ class TestExperimentConfig:
         assert cfg.lambda_a == 0.0
         assert cfg.tol1 == pytest.approx(2.22e-16, rel=1e-2)
 
+    def test_retired_optimizer_keys_load_at_old_defaults(self, tmp_path):
+        # a config.json as written while OptimConfig had nine fields
+        doc = ExperimentConfig().to_dict()
+        retired = {"armijo_c": 0.0001, "max_backtracks": 50, "memory": 10,
+                   "seed": 0, "shrink": 0.5, "step_init": 1.0}
+        doc["optim_coeff"] = dict(retired, grad_tol=1e-08, max_iters=500, restarts=1)
+        doc["optim_control"] = dict(retired, grad_tol=1e-06, max_iters=80, restarts=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        cfg = ExperimentConfig.load(path)
+        assert cfg == ExperimentConfig()
+        for block in ("optim_coeff", "optim_control"):
+            assert set(cfg.to_dict()[block]) == {"max_iters", "grad_tol", "restarts"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("memory", 0), ("memory", 5), ("step_init", 2.0)])
+    def test_retired_optimizer_key_off_default_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"optim_control.{key}"):
+            ExperimentConfig.from_dict({"optim_control": {key: value}})
+
     def test_version_checked(self):
         with pytest.raises(ConfigError, match="config_version"):
             ExperimentConfig.from_dict({"config_version": 99})
@@ -106,6 +126,16 @@ class TestCliLifecycle:
         assert len(matrix) == 4  # header plus 3 rows
         assert matrix[0].startswith("c1\\c2,")
         assert main(["--config", str(cfg), "taylor"]) == 0
+
+    def test_taylor_uses_identified_truth(self, tmp_path):
+        cfg = tiny_config(tmp_path, degree=2,
+                          optim_control={"max_iters": 30, "restarts": 1})
+        main(["--config", str(cfg), "greedy"])
+        assert main(["--config", str(cfg), "identify", "--truth", "sinusoidal"]) == 0
+        art = tmp_path / "art"
+        written = (art / "taylor.csv").read_bytes()
+        assert main(["--config", str(cfg), "taylor"]) == 0
+        assert (art / "taylor.csv").read_bytes() == written
 
     def test_baseline(self, tmp_path):
         cfg = tiny_config(tmp_path)

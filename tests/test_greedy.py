@@ -215,7 +215,7 @@ class TestFailureHandling:
         def flaky(seed, stage, iteration, candidate):
             # the fitting subproblem draws its stream first, so raising
             # here fails the fit of candidate 2 at k=1
-            if (stage, iteration, candidate) == (greedy_mod._STAGE_FIT, 1, 2):
+            if (stage, iteration, candidate) == (greedy_mod.STAGE_FIT, 1, 2):
                 from greedyrecon.exceptions import NumericalError
 
                 raise NumericalError("fit injected")

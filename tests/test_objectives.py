@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -225,3 +228,27 @@ class TestIdentificationObjective:
     def test_mismatched_lengths_rejected(self, ctx):
         with pytest.raises(ValueError):
             IdentificationObjective(ctx, [np.zeros((2,) + ctx.grid.shape)], [])
+
+
+class TestStateCache:
+    def test_oracle_and_cached_states_freed_without_cycle_collection(self, ctx):
+        rng = np.random.default_rng(15)
+        controls = [random_control(ctx.grid, rng)]
+        data = generate_data(ctx.combo(np.zeros(6)), controls, ctx)
+        cases = [
+            (IdentificationObjective(ctx, controls, data), np.full(6, 0.1)),
+            (DiscriminationObjective(ctx, np.zeros(0), 1, 1e-6),
+             control_to_vec(controls[0])),
+        ]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while cases:
+                obj, x = cases.pop()
+                obj(x)
+                ref = weakref.ref(obj)
+                del obj
+                assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -4,7 +4,6 @@ import pytest
 from greedyrecon import (
     NumericalError,
     OptimConfig,
-    maximize_box,
     minimize_box,
 )
 from greedyrecon.objectives import ObjectiveEval
@@ -49,15 +48,9 @@ class TestMinimizeBox:
 
     def test_rosenbrock_reaches_reference_minimum(self):
         res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), *BOX2,
-                           OptimConfig(max_iters=5000, grad_tol=1e-9, memory=10))
+                           OptimConfig(max_iters=5000, grad_tol=1e-9))
         assert res.value <= 1e-8
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-4)
-
-    def test_memoryless_projected_gradient_path(self):
-        res = minimize_box(quadratic([0.1, 0.2]), np.ones(2), *BOX2,
-                           OptimConfig(memory=0, max_iters=2000, grad_tol=1e-10))
-        assert res.converged
-        assert np.allclose(res.x, [0.1, 0.2], atol=1e-8)
 
     def test_iterates_always_feasible(self):
         lo = np.array([-0.5, -0.5])
@@ -130,12 +123,18 @@ class TestMinimizeBox:
         assert np.all(np.abs(seen[0]) <= 2.0)
 
 
+def maximize_from(fun, x0, lo, hi, cfg):
+    """Single-start maximization through multistart_maximize's negation."""
+    return multistart_maximize(fun, [x0], lo, hi, cfg, np.random.default_rng(0),
+                               n_random=0)
+
+
 class TestMaximizeBox:
     def test_concave_quadratic(self):
         def fun(x, need_grad=True):
             return ObjectiveEval(-float(x @ x), -2.0 * x if need_grad else None)
 
-        res = maximize_box(fun, np.array([1.0, -1.5]), *BOX2, OptimConfig())
+        res = maximize_from(fun, np.array([1.0, -1.5]), *BOX2, OptimConfig())
         assert np.allclose(res.x, 0.0, atol=1e-8)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
@@ -143,8 +142,8 @@ class TestMaximizeBox:
         def fun(x, need_grad=True):
             return ObjectiveEval(float(np.sum(x)), np.ones_like(x) if need_grad else None)
 
-        res = maximize_box(fun, np.zeros(3), np.full(3, -1.0), np.full(3, 1.0),
-                           OptimConfig())
+        res = maximize_from(fun, np.zeros(3), np.full(3, -1.0), np.full(3, 1.0),
+                            OptimConfig())
         assert np.allclose(res.x, 1.0)
 
     def test_equivalence_with_negated_minimize(self):
@@ -157,8 +156,8 @@ class TestMaximizeBox:
             ev = fun(x, need_grad)
             return ObjectiveEval(-ev.value, None if ev.grad is None else -ev.grad)
 
-        cfg = OptimConfig(seed=1)
-        up = maximize_box(fun, np.zeros(2), *BOX2, cfg)
+        cfg = OptimConfig()
+        up = maximize_from(fun, np.zeros(2), *BOX2, cfg)
         down = minimize_box(neg, np.zeros(2), *BOX2, cfg)
         assert np.array_equal(up.x, down.x)
         assert up.value == -down.value
@@ -174,7 +173,7 @@ class TestMultistart:
 
         res = multistart_minimize(fun, [np.array([1.0])], np.array([-2.0]),
                                   np.array([2.0]),
-                                  OptimConfig(restarts=8, seed=2))
+                                  OptimConfig(restarts=8), np.random.default_rng(2))
         roots = np.roots([4.0, 0.0, -2.0, 0.1])
         best_root = min((r.real for r in roots if abs(r.imag) < 1e-12),
                         key=lambda r: r**4 - r**2 + 0.1 * r)
@@ -186,11 +185,11 @@ class TestMultistart:
             g = np.array([-3 * np.sin(3 * x[0]) + x[0]])
             return ObjectiveEval(v, g if need_grad else None)
 
-        cfg = OptimConfig(restarts=5, seed=7)
+        cfg = OptimConfig(restarts=5)
         a = multistart_minimize(fun, [np.zeros(1)], np.array([-3.0]),
-                                np.array([3.0]), cfg)
+                                np.array([3.0]), cfg, np.random.default_rng(7))
         b = multistart_minimize(fun, [np.zeros(1)], np.array([-3.0]),
-                                np.array([3.0]), cfg)
+                                np.array([3.0]), cfg, np.random.default_rng(7))
         assert np.array_equal(a.x, b.x)
 
     def test_maximize_variant(self):
@@ -200,5 +199,5 @@ class TestMultistart:
 
         res = multistart_maximize(fun, [np.array([0.5, 0.5])],
                                   np.full(2, -1.0), np.full(2, 1.0),
-                                  OptimConfig(restarts=2, seed=3))
+                                  OptimConfig(restarts=2), np.random.default_rng(3))
         assert res.value == pytest.approx(1.0, abs=1e-10)
