@@ -101,13 +101,26 @@ def _load_artifact(out: Path):
     return cfg, ctx, controls, basis_doc
 
 
-def read_identified(out: Path) -> np.ndarray | None:
-    """Coefficients stored by identify, by basis position; None if absent."""
+def read_identified(out: Path):
+    """What identify stored: the coefficients by basis position and the truth
+    they were fitted against, which may be an ``identify --truth`` override
+    of the configured one; (None, None) before identify ran."""
     path = out / "identified.csv"
     if not path.exists():
-        return None
+        return None, None
     rows = path.read_text().strip().split("\n")[1:]
-    return np.array([float(r.split(",")[3]) for r in rows])
+    kind = json.loads((out / "identify.json").read_text())["truth"]
+    return np.array([float(r.split(",")[3]) for r in rows]), kind
+
+
+def write_basis(out: Path, basis, swaps=(), winners=()) -> None:
+    write_json(out / "basis.json", {
+        "degree": basis.degree,
+        "exponents": [list(e) for e in basis.exponents],
+        "order": [int(j) for j in basis.order],
+        "swaps": [list(s) for s in swaps],
+        "winners": [int(w) for w in winners],
+    })
 
 
 def write_taylor(out: Path, kind: str, alpha, basis) -> None:
@@ -144,13 +157,7 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
         return EXIT_PARTIAL
     elapsed = time.perf_counter() - t0
     write_controls(out / "controls.csv", run.controls)
-    write_json(out / "basis.json", {
-        "degree": cfg.degree,
-        "exponents": [list(e) for e in run.basis.exponents],
-        "order": [int(j) for j in run.basis.order],
-        "swaps": [list(s) for s in run.swaps],
-        "winners": [int(w) for w in run.winners],
-    })
+    write_basis(out, run.basis, run.swaps, run.winners)
     write_json(out / "greedy.json", {
         "failed": False,
         "k_final": run.k_final,
@@ -238,13 +245,7 @@ def cmd_baseline(cfg: ExperimentConfig, out: Path, count: int,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_controls(out / "controls.csv", controls)
-    write_json(out / "basis.json", {
-        "degree": cfg.degree,
-        "exponents": [list(e) for e in ctx.basis.exponents],
-        "order": [int(j) for j in ctx.basis.order],
-        "swaps": [],
-        "winners": [],
-    })
+    write_basis(out, ctx.basis)
     _write_summary(out, {"tool_version": _version(),
                          "baseline": {"count": count, "seed": cfg.seed,
                                       "mode": mode}})
@@ -270,11 +271,11 @@ def _resolve_pair(ctx, pair: str) -> tuple[int, int]:
 def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
                   truth_override: str | None = None) -> int:
     cfg, ctx, controls, _ = _load_artifact(out)
-    kind = truth_override or cfg.truth
-    truth = truth_nonlinearity(cfg, kind)
+    # scan the objective identify minimized: its truth and its coefficients
+    alpha_base, kind = read_identified(out)
+    truth = truth_nonlinearity(cfg, truth_override or kind or cfg.truth)
     data = analysis.generate_data(truth, controls, ctx)
     idx = _resolve_pair(ctx, pair)
-    alpha_base = read_identified(out)
     if alpha_base is None:
         alpha_base = np.zeros(ctx.basis.size)
     lattice = np.linspace(lo, hi, points)
@@ -290,12 +291,9 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
 
 def cmd_taylor(out: Path) -> int:
     _, ctx, _, _ = _load_artifact(out)
-    alpha = read_identified(out)
+    alpha, kind = read_identified(out)
     if alpha is None:
         raise ConfigError("artifact has no identified coefficients; run identify")
-    # the truth the coefficients were identified against, which may be an
-    # identify --truth override of the configured one
-    kind = json.loads((out / "identify.json").read_text())["truth"]
     write_taylor(out, kind, alpha, ctx.basis)
     return EXIT_OK
 
@@ -352,8 +350,6 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.out is not None:
         cfg.output_dir = args.out
     cfg.validate()
@@ -368,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--threads", type=int, help="bound on candidate parallelism")
     parser.add_argument("--out", help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("greedy")

@@ -2,20 +2,22 @@
 
 Schema (config_version 1): top-level keys are the fields of
 ExperimentConfig; ``optim_coeff`` and ``optim_control`` are nested objects
-with the fields of OptimConfig.  Unknown keys are rejected on load, and
-every constraint of the owning types is re-validated.  Files written before
-the projected-gradient optimizer was removed carry six more optimizer keys
-(``RETIRED_OPTIM_KEYS``); they load when those keys hold the values that
-selected L-BFGS-B, and the keys are dropped.  Defaults follow the
-reference experiment: unit half-width, bounds (-1,-1)..(1,1), couplings
-gamma1 = gamma2 = 0.2, no relaxation, stopping tolerance at double
-precision epsilon.
+with the fields of OptimConfig.  Unknown keys and wrongly typed values are
+rejected on load, and every constraint of the owning types is re-validated.
+Older files carry retired keys, which are dropped: six optimizer keys
+(``RETIRED_OPTIM_KEYS``) load only at the values that selected L-BFGS-B,
+and the size of the removed candidate thread pool (``RETIRED_POOL_KEY``)
+at any integer >= 1, since every such value gave the same artifacts.
+Defaults follow the reference experiment: unit half-width, bounds
+(-1,-1)..(1,1), couplings gamma1 = gamma2 = 0.2, no relaxation, stopping
+tolerance at double precision epsilon.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,10 +36,24 @@ CONFIG_VERSION = 1
 # the ones that selected the L-BFGS-B engine that remains
 RETIRED_OPTIM_KEYS = {"step_init": 1.0, "armijo_c": 1e-4, "shrink": 0.5,
                       "memory": 10, "seed": 0, "max_backtracks": 50}
+RETIRED_POOL_KEY = "threads"
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
+
+
+def _check_type(key: str, value, like) -> None:
+    """ConfigError naming ``key`` unless ``value`` has the type of the
+    default ``like``: an integer for an int, any number for a float, a list
+    of numbers for a tuple."""
+    if isinstance(like, tuple) and isinstance(value, (list, tuple)):
+        for v in value:
+            _check_type(key, v, 0.0)
+        return
+    want = {int: numbers.Integral, float: numbers.Real}.get(type(like), type(like))
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ConfigError(f"{key} must be of type {type(like).__name__}, got {value!r}")
 
 
 def _optim_from_dict(key: str, value, default: OptimConfig) -> OptimConfig:
@@ -50,6 +66,8 @@ def _optim_from_dict(key: str, value, default: OptimConfig) -> OptimConfig:
     bad = set(value) - {f.name for f in fields(OptimConfig)}
     if bad:
         raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
+    for name, v in value.items():
+        _check_type(f"{key}.{name}", v, getattr(default, name))
     try:
         return dataclasses.replace(default, **value)
     except ValueError as exc:
@@ -74,7 +92,6 @@ class ExperimentConfig:
     ell_max: int = 200
     regularizer_sign: int = 1
     seed: int = 0
-    threads: int = 1
     error_lattice_m: int = 101
     output_dir: str = "runs/out"
     optim_coeff: OptimConfig = DEFAULT_OPTIM_COEFF
@@ -82,8 +99,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.validate()
+        self.eps_a = tuple(float(v) for v in self.eps_a)
+        self.eps_b = tuple(float(v) for v in self.eps_b)
 
     def validate(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.default)
         # constructing the owning types re-checks their invariants
         try:
             Grid(self.n, self.x_max)
@@ -98,8 +119,8 @@ class ExperimentConfig:
                 raise ValueError("alpha_max, nu must be >= 0 and tol1 > 0")
             if self.regularizer_sign not in (1, -1):
                 raise ValueError("regularizer_sign must be +1 or -1")
-            if self.seed < 0 or self.threads < 1:
-                raise ValueError("seed must be >= 0 and threads >= 1")
+            if self.seed < 0:
+                raise ValueError("seed must be >= 0")
             if self.error_lattice_m < 2:
                 raise ValueError("error_lattice_m must be >= 2")
         except ValueError as exc:
@@ -123,6 +144,10 @@ class ExperimentConfig:
         version = data.pop("config_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version}")
+        pool = data.pop(RETIRED_POOL_KEY, 1)
+        _check_type(RETIRED_POOL_KEY, pool, 1)
+        if pool < 1:
+            raise ConfigError(f"{RETIRED_POOL_KEY} is retired and loads only at >= 1")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -133,8 +158,6 @@ class ExperimentConfig:
                 kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_COEFF)
             elif key == "optim_control":
                 kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_CONTROL)
-            elif key in ("eps_a", "eps_b"):
-                kwargs[key] = tuple(float(v) for v in value)
             else:
                 kwargs[key] = value
         return cls(**kwargs)
@@ -175,7 +198,6 @@ def greedy_config(cfg: ExperimentConfig) -> GreedyConfig:
         alpha_max=cfg.alpha_max,
         reg_sign=cfg.regularizer_sign,
         seed=cfg.seed,
-        threads=cfg.threads,
     )
 
 

@@ -10,14 +10,13 @@ the fitted surrogate from its candidate).  The winning candidate is swapped
 into the next position.  The loop stops when the discrimination value
 f_max falls to tol1 or the basis is exhausted.
 
-Per-candidate subproblems are independent; they receive independent seeded
-random streams keyed by (stage, iteration, candidate position) so that
-sequential and concurrent execution produce identical results.
+Per-candidate subproblems are independent and run in turn; each draws from
+its own seeded stream keyed by (stage, iteration, candidate position), so a
+result does not depend on which other candidates are solved.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -61,7 +60,6 @@ class GreedyConfig:
     alpha_max: float = 1.0
     reg_sign: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.tol1 <= 0:
@@ -70,8 +68,6 @@ class GreedyConfig:
             raise ValueError("nu and alpha_max must be nonnegative")
         if self.reg_sign not in (1, -1):
             raise ValueError("reg_sign must be +1 or -1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -87,25 +83,18 @@ class GreedyRun:
     progress: list = dc_field(default_factory=list)
 
 
-def _map_candidates(fn, candidates, threads):
+def _map_candidates(fn, candidates):
     """Run ``fn`` on every candidate; returns ({cand: result}, {cand: message}).
 
     A candidate whose subproblem raises NumericalError is left out of the
     results and keeps the error message instead.
     """
-    def guarded(cand):
+    results, errors = {}, {}
+    for cand in candidates:
         try:
-            return fn(cand), None
+            results[cand] = fn(cand)
         except NumericalError as exc:
-            return None, str(exc)
-
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(guarded, candidates))
-    else:
-        outcomes = [guarded(c) for c in candidates]
-    results = {c: r for c, (r, err) in zip(candidates, outcomes) if err is None}
-    errors = {c: err for c, (r, err) in zip(candidates, outcomes) if err is not None}
+            errors[cand] = str(exc)
     return results, errors
 
 
@@ -187,7 +176,7 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
         return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
 
     candidates = sorted(betas)
-    results, errors = _map_candidates(attempt, candidates, cfg.threads)
+    results, errors = _map_candidates(attempt, candidates)
     if not results:
         raise _all_failed(f"{name} subproblem at k={k}", errors)
     scores = {c: (results[c].value if c in results else None) for c in candidates}
@@ -242,17 +231,15 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
         raise ValueError("need exactly k controls")
     lo = np.zeros(k)
     hi = np.full(k, cfg.alpha_max)
-    # synthesize all targets up front (shared cache, sequential)
-    all_targets = {c: fitting_targets(ctx, c, controls, cache)
-                   for c in range(k, size)}
 
     def attempt(cand):
         rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
-        obj = FittingObjective(ctx, controls, all_targets[cand], cfg.nu)
+        targets = fitting_targets(ctx, cand, controls, cache)
+        obj = FittingObjective(ctx, controls, targets, cfg.nu)
         return multistart_minimize(obj, [np.zeros(k)], lo, hi,
                                    cfg.optim_coeff, rng)
 
-    results, failed = _map_candidates(attempt, list(range(k, size)), cfg.threads)
+    results, failed = _map_candidates(attempt, range(k, size))
     if errors is not None:
         errors.update(failed)
     if not results:

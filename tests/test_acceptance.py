@@ -234,7 +234,7 @@ def test_criterion_6_greedy_invariants_and_oracle():
     # structural invariants for both desk-scale degrees
     for degree in (1, 2):
         ctx = make_context(n=16, degree=degree)
-        cfg = gr.GreedyConfig(seed=0, threads=2)
+        cfg = gr.GreedyConfig(seed=0)
         run = gr.run_greedy(ctx, cfg)
         size = ctx.basis.size
         assert run.k_final <= size

@@ -52,6 +52,9 @@ class TestExperimentConfig:
         {"regularizer_sign": 0},
         {"error_lattice_m": 1},
         {"threads": 0},
+        {"n": "16"},
+        {"optim_coeff": {"max_iters": "5"}},
+        {"eps_a": 3},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -84,6 +87,26 @@ class TestExperimentConfig:
     def test_retired_optimizer_key_off_default_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"optim_control.{key}"):
             ExperimentConfig.from_dict({"optim_control": {key: value}})
+
+    def test_wrong_type_error_names_key(self):
+        for doc, key in [({"n": "16"}, "n"),
+                         ({"optim_coeff": {"max_iters": "5"}}, "optim_coeff.max_iters"),
+                         ({"eps_b": [1.0, "1"]}, "eps_b"),
+                         ({"regularizer_sign": True}, "regularizer_sign")]:
+            with pytest.raises(ConfigError, match=f"^{key} must be of type"):
+                ExperimentConfig.from_dict(doc)
+
+    def test_retired_threads_key_loads_at_any_positive_integer(self, tmp_path):
+        # a config.json as written while the candidate thread pool existed
+        doc = dict(ExperimentConfig(n=16).to_dict(), threads=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        cfg = ExperimentConfig.load(path)
+        assert cfg == ExperimentConfig(n=16)
+        assert "threads" not in cfg.to_dict()
+        for bad in (0, "2"):
+            with pytest.raises(ConfigError, match="^threads"):
+                ExperimentConfig.from_dict(dict(doc, threads=bad))
 
     def test_version_checked(self):
         with pytest.raises(ConfigError, match="config_version"):
@@ -126,6 +149,18 @@ class TestCliLifecycle:
         assert len(matrix) == 4  # header plus 3 rows
         assert matrix[0].startswith("c1\\c2,")
         assert main(["--config", str(cfg), "taylor"]) == 0
+
+    def test_landscape_scans_identified_truth(self, tmp_path):
+        cfg = tiny_config(tmp_path, degree=2,
+                          optim_control={"max_iters": 30, "restarts": 1})
+        main(["--config", str(cfg), "greedy"])
+        assert main(["--config", str(cfg), "identify", "--truth", "sinusoidal"]) == 0
+        art = tmp_path / "art"
+        scan = ["--config", str(cfg), "landscape", "--points", "3"]
+        assert main(scan + ["--truth", "sinusoidal"]) == 0
+        explicit = (art / "landscape.csv").read_bytes()
+        assert main(scan) == 0
+        assert (art / "landscape.csv").read_bytes() == explicit
 
     def test_taylor_uses_identified_truth(self, tmp_path):
         cfg = tiny_config(tmp_path, degree=2,
@@ -188,6 +223,10 @@ class TestCliErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "greedy"]) == 2
+
+    def test_wrongly_typed_value_exit_code(self, tmp_path):
+        cfg = tiny_config(tmp_path, n="16")
+        assert main(["--config", str(cfg), "greedy"]) == 2
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tiny_config(tmp_path, whatever=1)

@@ -126,14 +126,6 @@ class TestStructure:
         for c1, c2 in zip(run1.controls, run2.controls):
             assert np.array_equal(c1, c2)
 
-    def test_thread_equivalence(self):
-        seq = run_greedy(make_context(n=8, degree=1), fast_config(seed=5, threads=1))
-        par = run_greedy(make_context(n=8, degree=1), fast_config(seed=5, threads=2))
-        assert seq.winners == par.winners
-        assert seq.f_max_history == par.f_max_history
-        for c1, c2 in zip(seq.controls, par.controls):
-            assert np.array_equal(c1, c2)
-
 
 class TestFittingSweep:
     def test_in_span_candidate_fits_to_regularizer_level(self):
