@@ -20,7 +20,6 @@ from .objectives import (
     IdentificationObjective,
     SolverContext,
     control_to_vec,
-    initialization_objective,
     project_box,
     vec_to_control,
 )

@@ -279,10 +279,12 @@ def stability_probe(ctx: SolverContext, k: int, samples: int, seed: int,
     ``min_separation``).  These are empirical summaries, not certified
     constants; pairs whose solves fail are skipped.
     """
+    size = ctx.basis.size
+    if not 1 <= k <= size:
+        raise ValueError(f"k must lie in [1, {size}], got {k}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 911, k]))
-    size = ctx.basis.size
     ratios_h1, ratios_y, ratios_inv = [], [], []
     used = 0
     for _ in range(samples):

@@ -98,7 +98,7 @@ def _load_artifact(out: Path):
         raise ConfigError("artifact basis degree disagrees with config")
     ctx.basis.order = np.asarray(basis_doc["order"], dtype=int)
     controls = read_controls(out / "controls.csv", ctx.grid)
-    return cfg, ctx, controls, basis_doc
+    return cfg, ctx, controls
 
 
 def read_identified(out: Path):
@@ -180,7 +180,7 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_identify(out: Path, truth_override: str | None = None) -> int:
-    cfg, ctx, controls, basis_doc = _load_artifact(out)
+    cfg, ctx, controls = _load_artifact(out)
     kind = truth_override or cfg.truth
     truth = truth_nonlinearity(cfg, kind)
     t0 = time.perf_counter()
@@ -270,7 +270,7 @@ def _resolve_pair(ctx, pair: str) -> tuple[int, int]:
 
 def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
                   truth_override: str | None = None) -> int:
-    cfg, ctx, controls, _ = _load_artifact(out)
+    cfg, ctx, controls = _load_artifact(out)
     # scan the objective identify minimized: its truth and its coefficients
     alpha_base, kind = read_identified(out)
     truth = truth_nonlinearity(cfg, truth_override or kind or cfg.truth)
@@ -290,7 +290,7 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
 
 
 def cmd_taylor(out: Path) -> int:
-    _, ctx, _, _ = _load_artifact(out)
+    _, ctx, _ = _load_artifact(out)
     alpha, kind = read_identified(out)
     if alpha is None:
         raise ConfigError("artifact has no identified coefficients; run identify")
@@ -299,9 +299,13 @@ def cmd_taylor(out: Path) -> int:
 
 
 def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int:
+    ctx = build_context(cfg)
+    if not 1 <= k <= ctx.basis.size:
+        raise ConfigError(f"--k must lie in [1, {ctx.basis.size}], got {k}")
+    if samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {samples}")
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
-    ctx = build_context(cfg)
     # probe at the box midpoint, or half the upper bound if that is zero
     mid = 0.5 * (np.asarray(cfg.eps_a) + np.asarray(cfg.eps_b))
     if np.all(mid == 0.0):

@@ -25,7 +25,7 @@ import numpy as np
 from .forward import FixedPointConfig
 from .greedy import DEFAULT_OPTIM_COEFF, DEFAULT_OPTIM_CONTROL, GreedyConfig
 from .grid import Grid, NegLaplacian
-from .nonlinearity import CLOSED_FORM_KINDS, ClosedForm, MonomialBasis
+from .nonlinearity import ClosedForm, MonomialBasis
 from .objectives import ControlBox, SolverContext
 from .optimize import OptimConfig
 
@@ -109,16 +109,9 @@ class ExperimentConfig:
         try:
             Grid(self.n, self.x_max)
             MonomialBasis(self.degree)
-            ControlBox(tuple(self.eps_a), tuple(self.eps_b))
             FixedPointConfig(self.lambda_a, self.tol2, self.ell_max)
-            if self.truth not in CLOSED_FORM_KINDS:
-                raise ValueError(f"unknown truth kind {self.truth!r}")
-            if not (self.gamma1 >= self.gamma2 > 0):
-                raise ValueError("need gamma1 >= gamma2 > 0")
-            if self.alpha_max < 0 or self.nu < 0 or self.tol1 <= 0:
-                raise ValueError("alpha_max, nu must be >= 0 and tol1 > 0")
-            if self.regularizer_sign not in (1, -1):
-                raise ValueError("regularizer_sign must be +1 or -1")
+            greedy_config(self)
+            truth_nonlinearity(self)
             if self.seed < 0:
                 raise ValueError("seed must be >= 0")
             if self.error_lattice_m < 2:

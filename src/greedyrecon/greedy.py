@@ -146,11 +146,6 @@ def _constant_start(grid, pair) -> np.ndarray:
 
 def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
     obj = DiscriminationObjective(ctx, beta, cand, cfg.nu, cfg.reg_sign)
-
-    def score(x, need_grad=True):
-        ev = obj(x, need_grad)
-        return ev._replace(value=-ev.value, grad=None if ev.grad is None else -ev.grad)
-
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     # restart points are random CONSTANT controls: uniform nodal noise is
     # smoothed away by the solve and makes a poor start at fine meshes,
@@ -158,7 +153,7 @@ def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
     starts = list(starts)
     starts += [_constant_start(ctx.grid, cfg.box.sample_constant(rng))
                for _ in range(cfg.optim_control.restarts)]
-    return multistart_maximize(score, starts, lo, hi,
+    return multistart_maximize(obj, starts, lo, hi,
                                control_optim_config(cfg, ctx.grid), rng,
                                n_random=0)
 

@@ -1,16 +1,16 @@
 """Objective values and adjoint-based gradients for the greedy and
 identification subproblems.
 
-Two oracles cover the four subproblems: a weighted coefficient misfit
-(fitting with weight 1/2 and a ridge term; identification with weight 1
-and none) and a control-space discrimination (initialization and
-splitting).  All misfits are measured in the lumped discrete L2 norm
-(weight h per node).  Decision variables are flat vectors: coefficient
-vectors for the misfit, stacked interior nodal values of both control
-components for the discrimination.  Returned gradients are plain partial
-derivatives with respect to those entries, so they match central finite
-differences of the value directly; for control variables this is h^2
-times the L2-representer.
+Two oracles cover the four subproblems: a weighted coefficient misfit to
+be minimized (fitting with weight 1/2 and a ridge term; identification
+with weight 1 and none) and a control-space discrimination score to be
+maximized (initialization and splitting).  All misfits are measured in
+the lumped discrete L2 norm (weight h per node).  Decision variables are
+flat vectors: coefficient vectors for the misfit, stacked interior nodal
+values of both control components for the discrimination.  Returned
+gradients are plain partial derivatives with respect to those entries, so
+they match central finite differences of the value directly; for control
+variables this is h^2 times the L2-representer.
 
 Each oracle keeps a one-slot cache of the forward states at the last
 evaluated point, so a value-only call from a line search followed by a
@@ -207,10 +207,11 @@ class FittingObjective:
 class DiscriminationObjective:
     """Control-design objective separating a fitted surrogate from a candidate.
 
-    In minimization form (the one whose gradient is nu*eps - (q_beta + q_cand)):
+    The splitting score, to be maximized (its gradient is
+    q_beta + q_cand - reg_sign*nu*eps in the L2-representer scale):
 
-        J(eps) = -1/2 ||y^{beta,eps} - y^{cand,eps}||_{L2}^2
-                 + reg_sign * nu/2 ||eps||_{L2}^2
+        J(eps) = 1/2 ||y^{beta,eps} - y^{cand,eps}||_{L2}^2
+                 - reg_sign * nu/2 ||eps||_{L2}^2
 
     ``reg_sign=+1`` penalizes control energy; ``reg_sign=-1`` rewards it
     (the alternative convention in which the regularizer joins the
@@ -240,20 +241,14 @@ class DiscriminationObjective:
         eps, y_b, y_c = self._states.get(vec, self._solve)
         grid = self.ctx.grid
         diff = y_b - y_c
-        value = -0.5 * _misfit_sq(grid, diff) + self.reg_sign * 0.5 * self.nu * _misfit_sq(grid, eps)
+        value = 0.5 * _misfit_sq(grid, diff) - self.reg_sign * 0.5 * self.nu * _misfit_sq(grid, eps)
         if not need_grad:
             return ObjectiveEval(value, None)
         q_b = solve_adjoint(self.ctx.op, self.surrogate, y_b, diff)
         q_c = solve_adjoint(self.ctx.op, self.candidate, y_c, -diff)
-        rep = self.reg_sign * self.nu * interior(eps) - interior(q_b) - interior(q_c)
+        rep = interior(q_b) - self.reg_sign * self.nu * interior(eps) + interior(q_c)
         grad = grid.h**2 * rep.reshape(-1)
         return ObjectiveEval(value, grad)
-
-
-def initialization_objective(ctx: SolverContext, candidate_pos: int, nu: float,
-                             reg_sign: int = 1) -> DiscriminationObjective:
-    """Discrimination against the zero nonlinearity (empty coefficient vector)."""
-    return DiscriminationObjective(ctx, np.zeros(0), candidate_pos, nu, reg_sign)
 
 
 class IdentificationObjective(FittingObjective):

@@ -3,21 +3,22 @@
 The descent is delegated to scipy's limited-memory projected quasi-Newton
 method (L-BFGS-B, ``LBFGS_MEMORY`` correction pairs), which is the
 gradient-projection + limited-memory-curvature method this problem family
-needs.  Every iterate stays inside the box and the value sequence is
-monotone.  Stationarity is reported as ``||x - P(x - grad)||_2``
-(projected gradient with unit step) and ``converged`` means that norm fell
-to ``grad_tol``.  Everything is deterministic for fixed inputs and random
-stream.
+needs.  An oracle reaches scipy unwrapped: an ObjectiveEval is already the
+``(value, grad)`` pair scipy's ``jac=True`` expects, so its failures
+propagate unchanged; maximization adds one negating adapter.  Every iterate
+stays inside the box and the value sequence is monotone.  Stationarity is
+reported as ``||x - P(x - grad)||_2`` (projected gradient with unit step)
+and ``converged`` means that norm fell to ``grad_tol``.  Everything is
+deterministic for fixed inputs and random stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize as sopt
 
-from .exceptions import NumericalError
 from .objectives import ObjectiveEval, project_box
 
 
@@ -43,49 +44,29 @@ class OptimResult:
     projected_grad_norm: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)  # (iteration, value, projected grad norm)
 
 
 def _pg_norm(x, grad, lo, hi) -> float:
     return float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
 
 
-def _wrap_oracle(fun):
-    """Attach the failing point to oracle exceptions."""
+def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
+    """Minimize fun over the box [lo, hi] from the projection of x0.
 
-    def safe(z, need_grad=True):
-        try:
-            return fun(z, need_grad)
-        except NumericalError as exc:
-            exc.x = np.array(z, copy=True)
-            raise
-
-    return safe
-
-
-def _minimize_lbfgsb(fun, x0, lo, hi, cfg) -> OptimResult:
-    safe = _wrap_oracle(fun)
-    dim = x0.size
-    last = {}
-
-    def value_and_grad(z):
-        val, grad = safe(z, True)
-        last["x"], last["val"], last["grad"] = z.copy(), val, grad
-        return val, grad
-
-    trace = []
-
-    def callback(_):
-        trace.append((len(trace) + 1, last["val"],
-                      _pg_norm(last["x"], last["grad"], lo, hi)))
-
+    ``fun(x, need_grad=True)`` must return an ObjectiveEval and is passed to
+    scipy as it is.  All iterates stay feasible.  If the line search cannot
+    find decrease the best iterate is returned with converged=False; oracle
+    failures propagate unchanged.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x0 = project_box(np.asarray(x0, dtype=float), lo, hi)
     res = sopt.minimize(
-        value_and_grad,
+        fun,
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lo, hi)),
-        callback=callback,
         options={
             "maxcor": LBFGS_MEMORY,
             "maxiter": cfg.max_iters,
@@ -95,7 +76,7 @@ def _minimize_lbfgsb(fun, x0, lo, hi, cfg) -> OptimResult:
             # stopping is by stationarity, the iteration cap, or a stalled
             # line search
             "ftol": 0.0,
-            "gtol": cfg.grad_tol / max(1.0, np.sqrt(dim)),
+            "gtol": cfg.grad_tol / max(1.0, np.sqrt(x0.size)),
         },
     )
     # a fully-bound box short-circuits inside scipy and omits result fields
@@ -103,24 +84,10 @@ def _minimize_lbfgsb(fun, x0, lo, hi, cfg) -> OptimResult:
     grad = getattr(res, "jac", None)
     value = getattr(res, "fun", None)
     if grad is None or value is None or not np.shape(grad):
-        value, grad = safe(x, True)
+        value, grad = fun(x, True)
     pgn = _pg_norm(x, grad, lo, hi)
     return OptimResult(x, float(value), pgn, int(getattr(res, "nit", 0)),
-                       pgn <= cfg.grad_tol, trace)
-
-
-def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
-    """Minimize fun over the box [lo, hi] from the projection of x0.
-
-    ``fun(x, need_grad)`` must return an ObjectiveEval.  All iterates stay
-    feasible and values decrease monotonically.  If the line search cannot
-    find decrease the best iterate is returned with converged=False; oracle
-    failures propagate with the failing point attached to the exception.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x = project_box(np.asarray(x0, dtype=float), lo, hi)
-    return _minimize_lbfgsb(fun, x, lo, hi, cfg)
+                       pgn <= cfg.grad_tol)
 
 
 def _negated(fun):
@@ -157,5 +124,4 @@ def multistart_maximize(fun, starts, lo, hi, cfg: OptimConfig,
     """multistart_minimize on -fun, reported in maximization form."""
     res = multistart_minimize(_negated(fun), starts, lo, hi, cfg, rng, n_random)
     res.value = -res.value
-    res.trace = [(i, -v, p) for i, v, p in res.trace]
     return res

@@ -23,7 +23,6 @@ from greedyrecon.objectives import (
     DiscriminationObjective,
     FittingObjective,
     IdentificationObjective,
-    initialization_objective,
 )
 
 from conftest import constant_control, kappa, make_context, random_control
@@ -151,7 +150,7 @@ def test_criterion_2_adjoint_gradients():
         idx = rng.choice(x.size, 10, replace=False)
         rel_errors += fd_errors(split, x, idx, 1e-5)
 
-        init = initialization_objective(ctx, 3, nu=1e-6)
+        init = DiscriminationObjective(ctx, np.zeros(0), 3, nu=1e-6)
         idx = rng.choice(x.size, 10, replace=False)
         rel_errors += fd_errors(init, x, idx, 1e-5)
 
@@ -210,7 +209,7 @@ def test_criterion_5_convexification(greedy32, baseline32p2):
     t0 = time.perf_counter()
     eigen = {}
     for tag, bundle in (("greedy", greedy32), ("random", baseline32p2)):
-        cfg, ctx, controls, _ = _load_artifact(bundle["out"])
+        cfg, ctx, controls = _load_artifact(bundle["out"])
         truth = gr.ClosedForm(cfg.gamma1, cfg.gamma2, kind="bilinear")
         data = gr.generate_data(truth, controls, ctx)
         coeffs = read_coefficients(bundle["out"])
@@ -282,7 +281,7 @@ def test_criterion_7_taylor_saturation(greedy32, workdir):
     # degree-2 run reuses the stored controls (the design is offline and
     # truth-independent); degree-3 needs its own design
     tables = {}
-    cfg2, ctx2, controls2, _ = _load_artifact(greedy32["out"])
+    cfg2, ctx2, controls2 = _load_artifact(greedy32["out"])
     truth = gr.ClosedForm(0.2, 0.2, kind="exponential")
     data2 = gr.generate_data(truth, controls2, ctx2)
     alpha2, _, _ = gr.identify(controls2, data2, ctx2, cfg2.optim_coeff,
@@ -293,7 +292,7 @@ def test_criterion_7_taylor_saturation(greedy32, workdir):
             "optim_coeff": {"grad_tol": 1e-12, "max_iters": 3000, "restarts": 1}}
     out3 = workdir / "greedy32p3"
     run_pipeline(doc3, out3, [["greedy"], ["identify"]])
-    cfg3, ctx3, controls3, _ = _load_artifact(out3)
+    cfg3, ctx3, controls3 = _load_artifact(out3)
     coeffs3 = read_coefficients(out3)
     alpha3 = np.array([coeffs3[e] for e in ctx3.basis.ordered_exponents()])
     tables[3] = gr.taylor_error_table("exponential", alpha3, ctx3.basis, d=2)

@@ -334,3 +334,9 @@ class TestStabilityProbe:
         with pytest.raises(ValueError):
             stability_probe(ctx, k=1, samples=1, seed=0,
                             control=np.zeros((2,) + ctx.grid.shape))
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_k_outside_basis_rejected(self, ctx, k):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 6\]"):
+            stability_probe(ctx, k=k, samples=3, seed=0,
+                            control=np.zeros((2,) + ctx.grid.shape))

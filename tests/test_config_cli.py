@@ -55,6 +55,11 @@ class TestExperimentConfig:
         {"n": "16"},
         {"optim_coeff": {"max_iters": "5"}},
         {"eps_a": 3},
+        {"alpha_max": -1.0},
+        {"nu": -1e-6},
+        {"tol1": 0.0},
+        {"seed": -1},
+        {"eps_a": [0.0, 0.0, 0.0]},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -227,6 +232,17 @@ class TestCliErrors:
     def test_wrongly_typed_value_exit_code(self, tmp_path):
         cfg = tiny_config(tmp_path, n="16")
         assert main(["--config", str(cfg), "greedy"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--k", "99", "--samples", "3"],
+        ["--k", "2", "--samples", "1"],
+        ["--k", "0"],
+    ])
+    def test_stability_probe_bad_arguments_exit_code(self, tmp_path, capsys, args):
+        cfg = tiny_config(tmp_path)
+        assert main(["--config", str(cfg), "stability-probe"] + args) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "art").exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tiny_config(tmp_path, whatever=1)

@@ -39,12 +39,6 @@ def fast_config(**kw):
 def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     """Independent candidate re-optimization with a larger restart budget."""
     obj = DiscriminationObjective(ctx, beta, cand, cfg.nu, cfg.reg_sign)
-
-    def score(x, need_grad=True):
-        ev = obj(x, need_grad)
-        return ev._replace(value=-ev.value,
-                           grad=None if ev.grad is None else -ev.grad)
-
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     rng = np.random.default_rng(np.random.SeedSequence([4242, cand]))
     starts = [np.zeros(lo.size)]
@@ -55,7 +49,7 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     ocfg = dataclasses.replace(cfg.optim_control,
                                grad_tol=cfg.optim_control.grad_tol * ctx.grid.h,
                                max_iters=200)
-    return multistart_maximize(score, starts, lo, hi, ocfg, rng, n_random=0)
+    return multistart_maximize(obj, starts, lo, hi, ocfg, rng, n_random=0)
 
 
 class TestSelectWinner:
@@ -233,6 +227,29 @@ class TestFailureHandling:
             run_greedy(ctx, fast_config())
         assert info.value.partial is not None
         assert info.value.partial.k_final == 0
+
+    def test_splitting_failure_at_k1_raises_with_partial(self, monkeypatch):
+        ctx = make_context(n=8, degree=1)
+        original = greedy_mod._optimize_discrimination
+
+        def broken_at_k1(ctx_, beta, cand, cfg_, starts, rng):
+            # the splitting subproblems at k fit a surrogate of k coefficients
+            if beta.size == 1:
+                from greedyrecon.exceptions import NumericalError
+
+                raise NumericalError("injected")
+            return original(ctx_, beta, cand, cfg_, starts, rng)
+
+        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken_at_k1)
+        with pytest.raises(GreedyFailure,
+                           match="splitting subproblem at k=1 failed") as info:
+            run_greedy(ctx, fast_config())
+        partial = info.value.partial
+        assert partial.k_final == 1
+        assert len(partial.controls) == 1
+        assert len(partial.winners) == 1
+        assert len(partial.f_max_history) == 1
+        assert partial.stopped_by == "failed"
 
 
 class TestStageRng:

@@ -11,7 +11,6 @@ from greedyrecon import (
     IdentificationObjective,
     control_to_vec,
     generate_data,
-    initialization_objective,
     project_box,
     vec_to_control,
 )
@@ -130,12 +129,12 @@ class TestDiscriminationObjective:
         assert value == 0.0
         assert np.all(grad == 0.0)
 
-    def test_nonpositive_without_regularizer(self, ctx):
+    def test_nonnegative_without_regularizer(self, ctx):
         rng = np.random.default_rng(6)
         obj = DiscriminationObjective(ctx, np.array([0.1, 0.2]), 3, nu=0.0)
         for _ in range(5):
             x = rng.uniform(-1, 1, 2 * (ctx.grid.n - 1) ** 2)
-            assert obj(x, False).value <= 0.0
+            assert obj(x, False).value >= 0.0
 
     def test_gradient_matches_fd(self, ctx):
         rng = np.random.default_rng(7)
@@ -152,7 +151,7 @@ class TestDiscriminationObjective:
         minus = DiscriminationObjective(ctx, np.zeros(0), 3, nu=1e-3, reg_sign=-1)
         eps = vec_to_control(ctx.grid, x)
         energy = ctx.grid.h**2 * float(np.sum(eps * eps))
-        assert plus(x, False).value - minus(x, False).value == pytest.approx(
+        assert minus(x, False).value - plus(x, False).value == pytest.approx(
             1e-3 * energy, rel=1e-12)
         fd_check(minus, x, rng.choice(x.size, 8, replace=False), step=1e-5,
                  rel_tol=1e-5)
@@ -175,16 +174,17 @@ class TestInitializationObjective:
             y0 = ctx.solve(ctx.combo(np.zeros(0)), eps)
             yc = ctx.solve(ctx.unit(pos), eps)
             assert np.allclose(y0 - yc, expected, atol=1e-10)
-            obj = initialization_objective(ctx, pos, nu=0.0)
-            assert obj(x, False).value == pytest.approx(-0.5 * misfit_sq, rel=1e-9)
+            obj = DiscriminationObjective(ctx, np.zeros(0), pos, nu=0.0)
+            assert obj(x, False).value == pytest.approx(0.5 * misfit_sq, rel=1e-9)
 
     def test_zero_control_value(self, ctx):
-        obj = initialization_objective(ctx, ctx.basis.position_of((0, 1)), nu=1e-6)
+        obj = DiscriminationObjective(ctx, np.zeros(0), ctx.basis.position_of((0, 1)),
+                                      nu=1e-6)
         assert obj(np.zeros(2 * (ctx.grid.n - 1) ** 2), False).value == 0.0
 
     def test_gradient_matches_fd(self, ctx):
         rng = np.random.default_rng(10)
-        obj = initialization_objective(ctx, 5, nu=1e-6)
+        obj = DiscriminationObjective(ctx, np.zeros(0), 5, nu=1e-6)
         x = rng.uniform(-1, 1, 2 * (ctx.grid.n - 1) ** 2)
         idx = rng.choice(x.size, 12, replace=False)
         fd_check(obj, x, idx, step=1e-5, rel_tol=1e-5)
