@@ -270,6 +270,8 @@ def _resolve_pair(ctx, pair: str) -> tuple[int, int]:
 
 def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
                   truth_override: str | None = None) -> int:
+    if points < 1:
+        raise ConfigError(f"--points must be >= 1, got {points}")
     cfg, ctx, controls = _load_artifact(out)
     # scan the objective identify minimized: its truth and its coefficients
     alpha_base, kind = read_identified(out)

@@ -7,8 +7,8 @@ sweep (for every remaining candidate, fit coefficients on the already
 selected elements that best mimic the candidate's states under the current
 controls) and a splitting step (find the control that maximally separates
 the fitted surrogate from its candidate).  The winning candidate is swapped
-into the next position.  The loop stops when the discrimination value
-f_max falls to tol1 or the basis is exhausted.
+into the next position.  The loop stops when the winner's unregularized
+discrimination value f_max falls to tol1 or the basis is exhausted.
 
 Per-candidate subproblems are independent and run in turn; each draws from
 its own seeded stream keyed by (stage, iteration, candidate position), so a
@@ -103,14 +103,6 @@ def _all_failed(what: str, errors: dict) -> GreedyFailure:
     return GreedyFailure(f"every {what} failed (candidate {cand}: {message})")
 
 
-def _discrimination_value(ctx: SolverContext, beta, candidate_pos, control) -> float:
-    """Misfit-only score 1/2 ||y^beta - y^cand||^2 from two fresh solves."""
-    y_b = ctx.solve(ctx.combo(np.asarray(beta, float)), control)
-    y_c = ctx.solve(ctx.unit(candidate_pos), control)
-    diff = y_b - y_c
-    return 0.5 * ctx.grid.h**2 * float(np.sum(diff * diff))
-
-
 # scores within this relative band count as equal and the lowest candidate
 # position wins; symmetric candidate pairs (e.g. the two linear monomials
 # under equal couplings) have exactly equal optima that solvers only
@@ -177,7 +169,8 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     scores = {c: (results[c].value if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
-    f_max = _discrimination_value(ctx, betas[winner], winner, control)
+    f_max = DiscriminationObjective(ctx, betas[winner], winner, nu=0.0)(
+        results[winner].x, need_grad=False).value
     ctx.basis.swap(k, winner)
     record = {"stage": name, "k": k, "scores": scores,
               "errors": errors, "winner": winner, "f_max": f_max}

@@ -158,8 +158,8 @@ class NegLaplacian:
         """Solve op(u) = rhs on interior nodes; boundary of u is zero.
 
         Accepts a scalar field (m, m) or a stacked pair (2, m, m); the pair
-        is solved in one transform.  The relative interior residual of each
-        component, taken with the stencil, is checked to 1e-9.
+        is solved in one transform.  Non-finite values raise NumericalError;
+        solve_semilinear checks the stencil residual of its last solve.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-2:] != self.grid.shape:
@@ -168,12 +168,6 @@ class NegLaplacian:
         x = self.inverse_interior(b)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(b))):
             raise NumericalError("linear solve produced non-finite values")
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = np.linalg.norm(self.apply_interior(x) - b, axis=(-2, -1))
-            bnorm = np.linalg.norm(b, axis=(-2, -1))
-            rel = res[bnorm > 0] / bnorm[bnorm > 0]
-        if not np.all(rel <= 1e-9):
-            raise NumericalError(f"linear solve residual {np.max(rel):.3e} too large")
         return field_from_interior(self.grid, x)
 
     def norms(self, field: np.ndarray) -> dict[str, float]:

@@ -255,12 +255,17 @@ class TestCliErrors:
         assert main(["--config", str(cfg), "greedy"]) == 0
         assert main(["--config", str(cfg), "identify"]) == 3
 
-    def test_landscape_pair_validation(self, tmp_path):
+    def test_landscape_pair_validation(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         main(["--config", str(cfg), "greedy"])
         main(["--config", str(cfg), "identify"])
-        assert main(["--config", str(cfg), "landscape", "--pair", "0,9"]) == 2
-        assert main(["--config", str(cfg), "landscape", "--pair", "zzz"]) == 2
+        capsys.readouterr()
+        for args in (["--pair", "0,9"], ["--pair", "zzz"],
+                     ["--pair", "0,1", "--points", "-1"],
+                     ["--pair", "0,1", "--points", "0"]):
+            assert main(["--config", str(cfg), "landscape"] + args) == 2
+            assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "art" / "landscape.csv").exists()
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -115,6 +117,30 @@ class TestSolveSemilinear:
         eps[:, 1:-1, 1:-1] = 60.0
         with pytest.raises(NumericalError):
             solve_semilinear(NegLaplacian(g), nonlin, eps, FixedPointConfig())
+
+    def test_linear_solve_residual_checked_once_solve_returns(self, monkeypatch):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        eps = random_control(g, np.random.default_rng(3))
+        exact = NegLaplacian.inverse_interior
+        monkeypatch.setattr(NegLaplacian, "inverse_interior",
+                            lambda self, b: (1.0 + 1e-6) * exact(self, b))
+        with pytest.raises(NumericalError, match="residual"):
+            solve_semilinear(op, ClosedForm(0.2, 0.2, kind="bilinear"), eps,
+                             FixedPointConfig())
+
+    def test_diverging_iterate_labelled_blow_up(self):
+        # G = -200*y1 is far from monotone: the fixed point diverges
+        # geometrically until the update norm overflows
+        g = Grid(8, 1.0)
+        basis = MonomialBasis(1)
+        nonlin = BasisCombo(1.0, 1.0, basis=basis, coeffs=np.array([0.0, -200.0, 0.0]))
+        eps = np.zeros((2,) + g.shape)
+        eps[:, 1:-1, 1:-1] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="blew up"):
+                solve_semilinear(NegLaplacian(g), nonlin, eps, FixedPointConfig())
 
     def test_relaxation_converges_to_same_solution(self):
         g = Grid(12, 1.0)

@@ -13,7 +13,6 @@ from greedyrecon import (
 )
 from greedyrecon.greedy import (
     _constant_start,
-    _discrimination_value,
     _select_winner,
     fitting_targets,
     run_fitting_sweep,
@@ -170,8 +169,10 @@ class TestOracleAgreement:
                          for c in range(3)}
         assert _select_winner(oracle_scores) == winner
         # recorded f_max equals the misfit recomputed from fresh solves
-        assert f_max == pytest.approx(
-            _discrimination_value(ctx, np.zeros(0), winner, control), rel=1e-12)
+        y_b = ctx.solve(ctx.combo(np.zeros(0)), control)
+        y_c = ctx.solve(ctx.unit(winner), control)
+        misfit = 0.5 * ctx.grid.h**2 * float(np.sum((y_b - y_c) ** 2))
+        assert f_max == pytest.approx(misfit, rel=1e-12)
 
 
 class TestFailureHandling:
