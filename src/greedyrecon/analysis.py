@@ -140,21 +140,25 @@ def constructed_control(eta: float, theta: float, gamma1: float, gamma2: float,
                         grid: Grid) -> np.ndarray:
     """Control whose exact bilinear-model solution is (eta*kappa, -theta*kappa).
 
-    kappa is the product-of-sines first Dirichlet mode; the control is the
-    residual of that ansatz in the coupled system with interaction
-    0.05*y1*y2, sampled nodally.
+    kappa is the product-of-sines first Dirichlet mode of (-X, X)^2, with
+    X = grid.x_max and eigenvalue pi^2/(2 X^2); the control is the residual
+    of that ansatz in the coupled system with interaction 0.05*y1*y2,
+    sampled nodally.
     """
+    X = grid.x_max
+    lam = np.pi**2 / (2.0 * X**2)
 
     def kappa(x1, x2):
-        return np.sin((x1 + 1.0) * np.pi / 2.0) * np.sin((x2 + 1.0) * np.pi / 2.0)
+        return (np.sin((x1 + X) * np.pi / (2.0 * X))
+                * np.sin((x2 + X) * np.pi / (2.0 * X)))
 
     def eps1(x1, x2):
         k = kappa(x1, x2)
-        return eta * (np.pi**2 / 2.0) * k - 0.05 * gamma1 * eta * theta * k**2
+        return eta * lam * k - 0.05 * gamma1 * eta * theta * k**2
 
     def eps2(x1, x2):
         k = kappa(x1, x2)
-        return -theta * (np.pi**2 / 2.0) * k + 0.05 * gamma2 * eta * theta * k**2
+        return -theta * lam * k + 0.05 * gamma2 * eta * theta * k**2
 
     return grid.sample_field(eps1, eps2)
 

@@ -14,7 +14,7 @@ Subcommands (one per experiment family):
 Artifacts are directories of JSON summaries and CSV matrices; CSV floats
 carry 17 significant digits so reruns with equal seeds are byte-identical.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 partial
-(non-converged) result.
+result (a greedy design stopped by a failure, written up to its last step).
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def _load_artifact(out: Path):
         raise ConfigError("artifact basis degree disagrees with config")
     ctx.basis.order = np.asarray(basis_doc["order"], dtype=int)
     controls = read_controls(out / "controls.csv", ctx.grid)
+    if not controls:
+        raise ConfigError(f"{out / 'controls.csv'} holds no control")
     return cfg, ctx, controls
 
 
@@ -143,38 +145,30 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
     ctx = build_context(cfg)
     gcfg = greedy_config(cfg)
     t0 = time.perf_counter()
+    failure = None
     try:
         run = run_greedy(ctx, gcfg)
     except GreedyFailure as exc:
-        run = exc.partial
-        if run is not None and run.controls:
-            write_controls(out / "controls.csv", run.controls)
-        write_json(out / "greedy.json", {
-            "failed": True, "message": str(exc),
-            "k_final": 0 if run is None else run.k_final,
-        })
-        print(f"greedy failed: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        # a failed design is written like a complete one, up to its last step
+        run, failure = exc.partial, exc
     elapsed = time.perf_counter() - t0
     write_controls(out / "controls.csv", run.controls)
     write_basis(out, run.basis, run.swaps, run.winners)
-    write_json(out / "greedy.json", {
-        "failed": False,
-        "k_final": run.k_final,
-        "stopped_by": run.stopped_by,
-        "f_max_history": run.f_max_history,
-        "progress": [
-            {"stage": rec["stage"], "k": rec["k"], "winner": int(rec["winner"]),
-             "f_max": rec["f_max"],
-             "scores": {str(c): s for c, s in rec["scores"].items()},
-             "errors": {str(c): e for c, e in rec["errors"].items()}}
-            for rec in run.progress
-        ],
-    })
+    doc = {"failed": failure is not None, "k_final": run.k_final,
+           "stopped_by": run.stopped_by, "f_max_history": run.f_max_history,
+           "progress": [dict(rec, scores={str(c): s for c, s in rec["scores"].items()},
+                             errors={str(c): e for c, e in rec["errors"].items()})
+                        for rec in run.progress]}
+    if failure is not None:
+        doc["message"] = str(failure)
+    write_json(out / "greedy.json", doc)
     _write_summary(out, {"tool_version": _version(),
                          "greedy": {"k_final": run.k_final,
                                     "stopped_by": run.stopped_by,
                                     "seconds": elapsed}})
+    if failure is not None:
+        print(f"greedy failed: {failure}", file=sys.stderr)
+        return EXIT_PARTIAL
     print(f"greedy: {run.k_final} controls ({run.stopped_by}) in {elapsed:.1f}s -> {out}")
     return EXIT_OK
 
@@ -334,6 +328,8 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
 
 
 def cmd_all(cfg: ExperimentConfig, out: Path) -> int:
+    # the landscape step needs the quadratic pair; refuse before any work
+    _resolve_pair(build_context(cfg), "auto")
     code = cmd_greedy(cfg, out)
     if code != EXIT_OK:
         return code

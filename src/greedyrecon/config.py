@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -45,8 +46,8 @@ class ConfigError(ValueError):
 
 def _check_type(key: str, value, like) -> None:
     """ConfigError naming ``key`` unless ``value`` has the type of the
-    default ``like``: an integer for an int, any number for a float, a list
-    of numbers for a tuple."""
+    default ``like``: an integer for an int, any finite number for a float,
+    a list of finite numbers for a tuple."""
     if isinstance(like, tuple) and isinstance(value, (list, tuple)):
         for v in value:
             _check_type(key, v, 0.0)
@@ -54,6 +55,8 @@ def _check_type(key: str, value, like) -> None:
     want = {int: numbers.Integral, float: numbers.Real}.get(type(like), type(like))
     if isinstance(value, bool) or not isinstance(value, want):
         raise ConfigError(f"{key} must be of type {type(like).__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def _optim_from_dict(key: str, value, default: OptimConfig) -> OptimConfig:

@@ -9,7 +9,7 @@ class NumericalError(RuntimeError):
 class GreedyFailure(RuntimeError):
     """Every candidate subproblem of a greedy sweep failed.
 
-    Carries the partial run (if any) on the ``partial`` attribute.
+    ``run_greedy`` attaches the run up to its last completed step as ``partial``.
     """
 
     def __init__(self, message, partial=None):

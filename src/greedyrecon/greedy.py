@@ -72,15 +72,32 @@ class GreedyConfig:
 
 @dataclass
 class GreedyRun:
+    """A greedy design; each completed step is one control and one progress
+    record (stage, k, scores, errors, winner, f_max), so a run that fails at
+    step k still holds k usable controls.  ``betas`` are the last completed
+    fit; ``stopped_by`` is "tol1", "exhausted" or "failed"."""
+
     basis: object
-    controls: list
-    betas: dict
-    f_max_history: list
-    winners: list
-    swaps: list
-    k_final: int
-    stopped_by: str
+    controls: list = dc_field(default_factory=list)
     progress: list = dc_field(default_factory=list)
+    betas: dict = dc_field(default_factory=dict)
+    stopped_by: str = "failed"
+
+    @property
+    def k_final(self) -> int:
+        return len(self.controls)
+
+    @property
+    def winners(self) -> list:
+        return [rec["winner"] for rec in self.progress]
+
+    @property
+    def swaps(self) -> list:
+        return [(rec["k"], rec["winner"]) for rec in self.progress]
+
+    @property
+    def f_max_history(self) -> list:
+        return [rec["f_max"] for rec in self.progress]
 
 
 def _map_candidates(fn, candidates):
@@ -155,7 +172,7 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     """Optimize a control for every candidate in ``betas`` against its fitted
     surrogate, then swap the winner to position k.
 
-    Returns (control, winner position, f_max, progress record)."""
+    Returns (control, progress record)."""
     name = "initialization" if stage == STAGE_INIT else "splitting"
 
     def attempt(cand):
@@ -174,7 +191,7 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     ctx.basis.swap(k, winner)
     record = {"stage": name, "k": k, "scores": scores,
               "errors": errors, "winner": winner, "f_max": f_max}
-    return control, winner, f_max, record
+    return control, record
 
 
 def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
@@ -182,35 +199,24 @@ def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
     position 0.  Every candidate is discriminated against the zero
     nonlinearity (``beta=()``), starting from the zero control.
 
-    Returns (control, winner position, f_max, progress record)."""
+    Returns (control, progress record)."""
     betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
     zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
     return _discrimination_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero_start])
 
 
-def fitting_targets(ctx: SolverContext, candidate_pos: int, controls, cache=None):
+def fitting_targets(ctx: SolverContext, candidate_pos: int, controls):
     """States of the candidate's single-element nonlinearity under each control."""
-    exp = ctx.basis.exponent(candidate_pos)
-    targets = []
-    for m, eps in enumerate(controls):
-        key = (exp, m)
-        if cache is not None and key in cache:
-            targets.append(cache[key])
-            continue
-        state = ctx.solve(ctx.unit(candidate_pos), eps)
-        if cache is not None:
-            cache[key] = state
-        targets.append(state)
-    return targets
+    return [ctx.solve(ctx.unit(candidate_pos), eps) for eps in controls]
 
 
-def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
-                      cache=None, errors=None):
+def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
     """Fit coefficients on the first k elements for every remaining candidate.
 
-    Returns {candidate position: fitted coefficient vector of length k}.  A
-    candidate whose fit fails is left out; if ``errors`` is a dict, its
-    failure message is stored there under the candidate position.
+    Returns ({candidate position: fitted coefficient vector of length k},
+    {candidate position: failure message}): a candidate whose fit fails is
+    left out of the first and keeps its message in the second.  Raises
+    GreedyFailure if every fit fails.
     """
     size = ctx.basis.size
     if not (1 <= k <= size - 1):
@@ -222,24 +228,22 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig,
 
     def attempt(cand):
         rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
-        targets = fitting_targets(ctx, cand, controls, cache)
+        targets = fitting_targets(ctx, cand, controls)
         obj = FittingObjective(ctx, controls, targets, cfg.nu)
         return multistart_minimize(obj, [np.zeros(k)], lo, hi,
                                    cfg.optim_coeff, rng)
 
-    results, failed = _map_candidates(attempt, range(k, size))
-    if errors is not None:
-        errors.update(failed)
+    results, errors = _map_candidates(attempt, range(k, size))
     if not results:
-        raise _all_failed(f"fitting subproblem at k={k}", failed)
-    return {c: r.x for c, r in results.items()}
+        raise _all_failed(f"fitting subproblem at k={k}", errors)
+    return {c: r.x for c, r in results.items()}, errors
 
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
                   prev_control=None):
     """Find the next control and candidate; swap the winner to position k.
 
-    Returns (control, winner position, f_max, progress record)."""
+    Returns (control, progress record)."""
     starts = [np.zeros(2 * (ctx.grid.n - 1) ** 2)]
     if prev_control is not None:
         starts.append(control_to_vec(prev_control))
@@ -247,44 +251,31 @@ def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
 
 
 def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
-    """Full greedy sweep; returns the reordered basis and all designed controls."""
-    size = ctx.basis.size
-    progress = []
+    """Full greedy sweep; returns the reordered basis and all designed controls.
+
+    A GreedyFailure escaping from a stage carries the run up to the last
+    completed step on its ``partial`` attribute, with ``stopped_by="failed"``.
+    """
+    run = GreedyRun(ctx.basis)
     try:
-        control, winner, f_max, record = run_initialization(ctx, cfg)
+        control, record = run_initialization(ctx, cfg)
+        run.controls.append(control)
+        run.progress.append(record)
+        for k in range(1, ctx.basis.size):
+            if record["f_max"] <= cfg.tol1:
+                break
+            betas, fit_errors = run_fitting_sweep(ctx, k, run.controls, cfg)
+            control, record = run_splitting(ctx, k, betas, cfg,
+                                            prev_control=run.controls[-1])
+            # a candidate whose fit failed never reaches the splitting step
+            errors = {c: f"fitting: {msg}" for c, msg in fit_errors.items()}
+            errors.update(record["errors"])
+            record["errors"] = dict(sorted(errors.items()))
+            run.controls.append(control)
+            run.progress.append(record)
+            run.betas = betas
     except GreedyFailure as exc:
-        exc.partial = GreedyRun(ctx.basis, [], {}, [], [], [], 0, "failed", progress)
+        exc.partial = run
         raise
-    controls = [control]
-    f_hist = [f_max]
-    winners = [winner]
-    swaps = [(0, winner)]
-    progress.append(record)
-    betas_last = {}
-    target_cache = {}
-    k = 1
-    while k <= size - 1 and f_max > cfg.tol1:
-        fit_errors = {}
-        try:
-            betas = run_fitting_sweep(ctx, k, controls, cfg, cache=target_cache,
-                                      errors=fit_errors)
-            control, winner, f_max, record = run_splitting(
-                ctx, k, betas, cfg, prev_control=controls[-1])
-        except GreedyFailure as exc:
-            exc.partial = GreedyRun(ctx.basis, controls, betas_last, f_hist,
-                                    winners, swaps, k, "failed", progress)
-            raise
-        controls.append(control)
-        f_hist.append(f_max)
-        winners.append(winner)
-        swaps.append((k, winner))
-        # a candidate whose fit failed never reaches the splitting step
-        errors = {c: f"fitting: {msg}" for c, msg in fit_errors.items()}
-        errors.update(record["errors"])
-        record["errors"] = dict(sorted(errors.items()))
-        progress.append(record)
-        betas_last = betas
-        k += 1
-    stopped_by = "tol1" if f_max <= cfg.tol1 else "exhausted"
-    return GreedyRun(ctx.basis, controls, betas_last, f_hist, winners, swaps,
-                     len(controls), stopped_by, progress)
+    run.stopped_by = "tol1" if record["f_max"] <= cfg.tol1 else "exhausted"
+    return run

@@ -249,7 +249,8 @@ def test_criterion_6_greedy_invariants_and_oracle():
     # replay the stages, validating each selection against the oracle
     ctx = make_context(n=16, degree=1)
     cfg = gr.GreedyConfig(seed=0)
-    control, winner, f_max, _ = run_initialization(ctx, cfg)
+    control, record = run_initialization(ctx, cfg)
+    winner, f_max = record["winner"], record["f_max"]
     ctx.basis.swap(0, winner)  # undo to score candidates in original positions
     scores = {c: oracle_best(ctx, np.zeros(0), c, cfg, None).value
               for c in range(3)}
@@ -258,7 +259,7 @@ def test_criterion_6_greedy_invariants_and_oracle():
     controls = [control]
     k = 1
     while k <= 2 and f_max > cfg.tol1:
-        betas = run_fitting_sweep(ctx, k, controls, cfg)
+        betas, _ = run_fitting_sweep(ctx, k, controls, cfg)
         scores = {c: oracle_best(ctx, betas[c], c, cfg, controls[-1]).value
                   for c in sorted(betas)}
         oracle_winner = _select_winner(scores)
@@ -266,8 +267,9 @@ def test_criterion_6_greedy_invariants_and_oracle():
             f"step {k}: oracle {oracle_winner} vs run {p1_run.winners[k]}")
         from greedyrecon.greedy import run_splitting
 
-        control, winner, f_max, _ = run_splitting(ctx, k, betas, cfg,
-                                                  prev_control=controls[-1])
+        control, record = run_splitting(ctx, k, betas, cfg,
+                                        prev_control=controls[-1])
+        winner, f_max = record["winner"], record["f_max"]
         assert winner == oracle_winner
         controls.append(control)
         k += 1

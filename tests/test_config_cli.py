@@ -60,6 +60,15 @@ class TestExperimentConfig:
         {"tol1": 0.0},
         {"seed": -1},
         {"eps_a": [0.0, 0.0, 0.0]},
+        {"tol2": float("nan")},
+        {"x_max": float("inf")},
+        {"nu": float("nan")},
+        {"tol1": float("inf")},
+        {"alpha_max": float("inf")},
+        {"eps_a": [float("-inf"), -1.0]},
+        {"eps_b": [1.0, float("nan")]},
+        {"optim_coeff": {"grad_tol": float("nan")}},
+        {"optim_control": {"grad_tol": float("inf")}},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -214,13 +223,83 @@ class TestCliErrors:
     def test_partial_result_exit_code(self, tmp_path, monkeypatch):
         import greedyrecon.cli as cli_mod
         from greedyrecon.exceptions import GreedyFailure
+        from greedyrecon.greedy import GreedyRun
 
         def broken(ctx, gcfg):
-            raise GreedyFailure("injected", partial=None)
+            raise GreedyFailure("injected", partial=GreedyRun(ctx.basis))
 
         monkeypatch.setattr(cli_mod, "run_greedy", broken)
         cfg = tiny_config(tmp_path)
         assert main(["--config", str(cfg), "greedy"]) == 4
+        doc = json.loads((tmp_path / "art" / "greedy.json").read_text())
+        assert doc["failed"] is True
+        assert doc["message"] == "injected"
+        assert doc["stopped_by"] == "failed"
+
+    def test_failed_greedy_writes_completed_steps(self, tmp_path, monkeypatch):
+        import greedyrecon.greedy as greedy_mod
+        from greedyrecon.exceptions import NumericalError
+
+        cfg = tiny_config(tmp_path)
+        art = tmp_path / "art"
+        # a complete earlier design leaves basis.json and summary.json behind
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        assert json.loads((art / "summary.json").read_text())["greedy"]["k_final"] == 3
+        original = greedy_mod._optimize_discrimination
+
+        def broken(ctx_, beta, cand, cfg_, starts, rng):
+            # candidate 2 fails at the initialization, every candidate at
+            # the k=1 splitting, whose surrogates have one coefficient
+            if beta.size == 1 or (beta.size == 0 and cand == 2):
+                raise NumericalError(f"injected k={beta.size} c={cand}")
+            return original(ctx_, beta, cand, cfg_, starts, rng)
+
+        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
+        assert main(["--config", str(cfg), "greedy"]) == 4
+        doc = json.loads((art / "greedy.json").read_text())
+        assert doc["failed"] is True
+        assert "splitting subproblem at k=1 failed" in doc["message"]
+        assert doc["k_final"] == 1 and doc["stopped_by"] == "failed"
+        (record,) = doc["progress"]
+        assert record["stage"] == "initialization" and record["k"] == 0
+        assert record["errors"] == {"2": "injected k=0 c=2"}
+        assert doc["f_max_history"] == [record["f_max"]]
+        basis = json.loads((art / "basis.json").read_text())
+        assert basis["winners"] == [record["winner"]]
+        assert basis["swaps"] == [[0, record["winner"]]]
+        assert basis["order"][0] == record["winner"]
+        summary = json.loads((art / "summary.json").read_text())["greedy"]
+        assert summary["k_final"] == 1 and summary["stopped_by"] == "failed"
+        lines = (art / "controls.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2 * 9 * 9
+
+    def test_identify_without_controls_exit_code(self, tmp_path, monkeypatch, capsys):
+        import greedyrecon.greedy as greedy_mod
+        from greedyrecon.exceptions import NumericalError
+
+        def broken(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
+        cfg = tiny_config(tmp_path)
+        assert main(["--config", str(cfg), "greedy"]) == 4
+        doc = json.loads((tmp_path / "art" / "greedy.json").read_text())
+        assert doc["k_final"] == 0 and doc["progress"] == []
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "identify"]) == 2
+        assert "holds no control" in capsys.readouterr().err
+
+    def test_all_needs_quadratic_pair_before_any_work(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, degree=1)
+        assert main(["--config", str(cfg), "all"]) == 2
+        assert "degree >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "art" / "controls.csv").exists()
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, tol2=float("nan"))
+        assert "NaN" in cfg.read_text()
+        assert main(["--config", str(cfg), "greedy"]) == 2
+        assert "tol2 must be finite" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tiny_config(tmp_path, n=1)

@@ -85,6 +85,24 @@ class TestSolveSemilinear:
             errs[n] = l2_norm(g, y - exact)
         assert 3.5 <= errs[16] / errs[32] <= 4.5
 
+    @pytest.mark.parametrize("x_max", [0.5, 2.0])
+    def test_manufactured_solution_rate_off_unit_square(self, x_max):
+        # the constructed control follows the first mode of (-x_max, x_max)^2
+        def mode(x1, x2):
+            return (np.sin((x1 + x_max) * np.pi / (2.0 * x_max))
+                    * np.sin((x2 + x_max) * np.pi / (2.0 * x_max)))
+
+        errs = {}
+        for n in (32, 64):
+            g = Grid(n, x_max)
+            eps = constructed_control(0.5, 1.0, 0.2, 0.2, g)
+            y, _ = solve_semilinear(NegLaplacian(g),
+                                    ClosedForm(0.2, 0.2, kind="bilinear"),
+                                    eps, FixedPointConfig())
+            exact = np.stack([0.5 * g.sample_scalar(mode), -g.sample_scalar(mode)])
+            errs[n] = l2_norm(g, y - exact)
+        assert 3.5 <= errs[32] / errs[64] <= 4.5
+
     def test_residual_decreases_in_reference_regime(self):
         g = Grid(16, 1.0)
         op = NegLaplacian(g)

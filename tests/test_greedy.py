@@ -130,8 +130,9 @@ class TestFittingSweep:
         control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
         # make position 1 and 2 the same monomial family: fit candidate 1
         # against k=1 selected elements after promoting it artificially
-        betas = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, errors = run_fitting_sweep(ctx, 1, [control], cfg)
         assert set(betas) == {1, 2}
+        assert errors == {}
         for beta in betas.values():
             assert beta.shape == (1,)
             assert 0.0 <= beta[0] <= cfg.alpha_max
@@ -143,7 +144,7 @@ class TestFittingSweep:
         control = np.zeros((2,) + ctx.grid.shape)
         control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
         targets = {c: fitting_targets(ctx, c, [control]) for c in (1, 2)}
-        betas = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         from greedyrecon.objectives import FittingObjective
 
         for cand in (1, 2):
@@ -163,7 +164,8 @@ class TestOracleAgreement:
     def test_initialization_winner_matches_bruteforce(self):
         ctx = make_context(n=16, degree=1)
         cfg = fast_config()
-        control, winner, f_max, record = run_initialization(ctx, cfg)
+        control, record = run_initialization(ctx, cfg)
+        winner, f_max = record["winner"], record["f_max"]
         ctx.basis.swap(0, winner)  # undo the op's swap for oracle scoring
         oracle_scores = {c: oracle_best(ctx, np.zeros(0), c, cfg, None).value
                          for c in range(3)}
@@ -248,8 +250,11 @@ class TestFailureHandling:
         partial = info.value.partial
         assert partial.k_final == 1
         assert len(partial.controls) == 1
-        assert len(partial.winners) == 1
-        assert len(partial.f_max_history) == 1
+        assert len(partial.progress) == 1
+        assert partial.winners == [partial.progress[0]["winner"]]
+        assert partial.swaps == [(0, partial.progress[0]["winner"])]
+        assert partial.f_max_history == [partial.progress[0]["f_max"]]
+        assert partial.betas == {}
         assert partial.stopped_by == "failed"
 
 

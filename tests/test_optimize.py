@@ -46,6 +46,17 @@ class TestMinimizeBox:
         assert np.allclose(res.x, [2.0, -2.0], atol=1e-10)
         assert res.converged  # projected gradient vanishes at the corner
 
+    def test_fully_fixed_box_returns_the_bound(self):
+        # scipy returns no gradient when every variable is fixed, so the
+        # value and gradient come from one more oracle call at the bound
+        lo = np.array([0.25, -0.5])
+        fun = quadratic([1.0, 1.0])
+        res = minimize_box(fun, np.zeros(2), lo, lo.copy(), OptimConfig())
+        assert np.array_equal(res.x, lo)
+        assert res.value == fun(lo).value
+        assert res.projected_grad_norm == 0.0
+        assert res.converged
+
     def test_rosenbrock_reaches_reference_minimum(self):
         res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), *BOX2,
                            OptimConfig(max_iters=5000, grad_tol=1e-9))
