@@ -19,7 +19,7 @@ from .forward import solve_semilinear  # noqa: F401
 from .grid import Grid, h1_norm, laplace_norm
 from .greedy import STAGE_IDENTIFY, stage_rng
 from .nonlinearity import MonomialBasis, Nonlinearity
-from .objectives import ControlBox, IdentificationObjective, SolverContext
+from .objectives import ControlBox, IdentificationObjective, SolverContext, constant_control
 from .optimize import OptimConfig, multistart_minimize
 
 # a degenerate bounding square (all points equal) is widened to this side
@@ -187,10 +187,7 @@ def random_constant_controls(count: int, box: ControlBox, grid: Grid,
             pair = (value, value)
         else:
             pair = box.sample_constant(rng)
-        field = np.zeros((2,) + grid.shape)
-        field[0, 1:-1, 1:-1] = pair[0]
-        field[1, 1:-1, 1:-1] = pair[1]
-        controls.append(field)
+        controls.append(constant_control(grid, pair))
     return controls
 
 

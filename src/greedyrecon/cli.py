@@ -9,10 +9,13 @@ Subcommands (one per experiment family):
     landscape        2-D objective scan over a coefficient pair
     taylor           Taylor-gap table from a stored identification
     stability-probe  empirical perturbation-response ratios
-    all              greedy -> identify -> landscape -> taylor
+    all              greedy -> identify -> landscape
 
 Artifacts are directories of JSON summaries and CSV matrices; CSV floats
 carry 17 significant digits so reruns with equal seeds are byte-identical.
+A directory holds one design: ``greedy`` and ``baseline`` start it over
+(``write_design``); ``identify``, ``landscape`` and ``taylor`` read its
+config, basis and controls, and every other command writes only its own outputs.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 partial
 result (a greedy design stopped by a failure, written up to its last step).
 """
@@ -32,6 +35,7 @@ from .config import ConfigError, ExperimentConfig, build_context, greedy_config,
 from .exceptions import GreedyFailure, NumericalError
 from .greedy import run_greedy
 from .grid import Grid
+from .objectives import constant_control
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,27 +70,19 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def controls_to_rows(controls):
-    for m, field in enumerate(controls):
-        for comp in range(2):
-            arr = field[comp]
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    yield (m, comp, i, j, float(arr[i, j]))
-
-
-def write_controls(path: Path, controls) -> None:
-    write_csv(path, ["control", "component", "i", "j", "value"],
-              controls_to_rows(controls))
-
-
 def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
-    lines = path.read_text().strip().split("\n")[1:]
+    """Controls by index; ConfigError unless each has one row per grid node."""
     by_index: dict[int, np.ndarray] = {}
-    for line in lines:
+    rows: dict[int, int] = {}
+    for line in path.read_text().strip().split("\n")[1:]:
         m, comp, i, j, value = line.split(",")
-        field = by_index.setdefault(int(m), np.zeros((2,) + grid.shape))
-        field[int(comp), int(i), int(j)] = float(value)
+        m, node = int(m), (int(comp), int(i), int(j))
+        if min(node) < 0 or node[0] > 1 or max(node[1:]) > grid.n:
+            raise ConfigError(f"{path}: node {node} lies outside the n={grid.n} grid")
+        by_index.setdefault(m, np.zeros((2,) + grid.shape))[node] = float(value)
+        rows[m] = rows.get(m, 0) + 1
+    if any(count != 2 * (grid.n + 1) ** 2 for count in rows.values()):
+        raise ConfigError(f"{path}: a control does not cover the n={grid.n} grid")
     return [by_index[m] for m in sorted(by_index)]
 
 
@@ -115,7 +111,22 @@ def read_identified(out: Path):
     return np.array([float(r.split(",")[3]) for r in rows]), kind
 
 
-def write_basis(out: Path, basis, swaps=(), winners=()) -> None:
+# every file a command writes into an artifact directory besides the design
+ARTIFACTS = ("greedy.json", "identified.csv", "identify.json", "error_field.csv",
+             "taylor.csv", "landscape.csv", "stability.json", "summary.json")
+
+
+def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dict,
+                 swaps=(), winners=()) -> None:
+    """Start ``out`` over with a design: delete every file in ARTIFACTS, then
+    write config.json, controls.csv, basis.json and a new summary.json."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
+    cfg.save(out / "config.json")
+    write_csv(out / "controls.csv", ["control", "component", "i", "j", "value"],
+              ((m, *node, float(v)) for m, field in enumerate(controls)
+               for node, v in np.ndenumerate(field)))
     write_json(out / "basis.json", {
         "degree": basis.degree,
         "exponents": [list(e) for e in basis.exponents],
@@ -123,6 +134,7 @@ def write_basis(out: Path, basis, swaps=(), winners=()) -> None:
         "swaps": [list(s) for s in swaps],
         "winners": [int(w) for w in winners],
     })
+    write_json(out / "summary.json", dict(summary, tool_version=_version()))
 
 
 def write_taylor(out: Path, kind: str, alpha, basis) -> None:
@@ -140,8 +152,6 @@ def _write_summary(out: Path, updates: dict) -> None:
 
 
 def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.save(out / "config.json")
     ctx = build_context(cfg)
     gcfg = greedy_config(cfg)
     t0 = time.perf_counter()
@@ -152,8 +162,10 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
         # a failed design is written like a complete one, up to its last step
         run, failure = exc.partial, exc
     elapsed = time.perf_counter() - t0
-    write_controls(out / "controls.csv", run.controls)
-    write_basis(out, run.basis, run.swaps, run.winners)
+    write_design(cfg, out, run.controls, run.basis,
+                 {"greedy": {"k_final": run.k_final, "stopped_by": run.stopped_by,
+                             "seconds": elapsed}},
+                 run.swaps, run.winners)
     doc = {"failed": failure is not None, "k_final": run.k_final,
            "stopped_by": run.stopped_by, "f_max_history": run.f_max_history,
            "progress": [dict(rec, scores={str(c): s for c, s in rec["scores"].items()},
@@ -162,10 +174,6 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
     if failure is not None:
         doc["message"] = str(failure)
     write_json(out / "greedy.json", doc)
-    _write_summary(out, {"tool_version": _version(),
-                         "greedy": {"k_final": run.k_final,
-                                    "stopped_by": run.stopped_by,
-                                    "seconds": elapsed}})
     if failure is not None:
         print(f"greedy failed: {failure}", file=sys.stderr)
         return EXIT_PARTIAL
@@ -229,8 +237,6 @@ def cmd_identify(out: Path, truth_override: str | None = None) -> int:
 
 def cmd_baseline(cfg: ExperimentConfig, out: Path, count: int,
                  mode: str = "diagonal") -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.save(out / "config.json")
     ctx = build_context(cfg)
     box = greedy_config(cfg).box
     try:
@@ -238,11 +244,8 @@ def cmd_baseline(cfg: ExperimentConfig, out: Path, count: int,
                                                      seed=cfg.seed, mode=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    write_controls(out / "controls.csv", controls)
-    write_basis(out, ctx.basis)
-    _write_summary(out, {"tool_version": _version(),
-                         "baseline": {"count": count, "seed": cfg.seed,
-                                      "mode": mode}})
+    write_design(cfg, out, controls, ctx.basis,
+                 {"baseline": {"count": count, "seed": cfg.seed, "mode": mode}})
     return cmd_identify(out)
 
 
@@ -262,11 +265,12 @@ def _resolve_pair(ctx, pair: str) -> tuple[int, int]:
     return i, j
 
 
-def cmd_landscape(out: Path, pair: str, points: int, lo: float, hi: float,
-                  truth_override: str | None = None) -> int:
+def cmd_landscape(out: Path, pair: str, points: int, lo: float,
+                  hi: float | None = None, truth_override: str | None = None) -> int:
     if points < 1:
         raise ConfigError(f"--points must be >= 1, got {points}")
     cfg, ctx, controls = _load_artifact(out)
+    hi = cfg.alpha_max if hi is None else hi
     # scan the objective identify minimized: its truth and its coefficients
     alpha_base, kind = read_identified(out)
     truth = truth_nonlinearity(cfg, truth_override or kind or cfg.truth)
@@ -300,16 +304,12 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
         raise ConfigError(f"--k must lie in [1, {ctx.basis.size}], got {k}")
     if samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {samples}")
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.save(out / "config.json")
     # probe at the box midpoint, or half the upper bound if that is zero
     mid = 0.5 * (np.asarray(cfg.eps_a) + np.asarray(cfg.eps_b))
     if np.all(mid == 0.0):
         mid = 0.5 * np.asarray(cfg.eps_b)
-    control = np.zeros((2,) + ctx.grid.shape)
-    control[0, 1:-1, 1:-1] = mid[0]
-    control[1, 1:-1, 1:-1] = mid[1]
-    stats = analysis.stability_probe(ctx, k, samples, cfg.seed, control,
+    stats = analysis.stability_probe(ctx, k, samples, cfg.seed,
+                                     constant_control(ctx.grid, mid),
                                      alpha_max=cfg.alpha_max)
     payload = {
         "k": k,
@@ -321,7 +321,9 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
         "dalpha_per_y": {"max": stats.dalpha_per_y[0],
                          "median": stats.dalpha_per_y[1]},
     }
-    write_json(out / "stability.json", payload)
+    # the probe's config goes here, never into a design's config.json
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "stability.json", dict(payload, config=cfg.to_dict()))
     _write_summary(out, {"stability": payload})
     print(f"stability probe k={k}: H1 ratio max {stats.h1_per_dalpha[0]:.3e}")
     return EXIT_OK
@@ -336,10 +338,7 @@ def cmd_all(cfg: ExperimentConfig, out: Path) -> int:
     code = cmd_identify(out)
     if code != EXIT_OK:
         return code
-    code = cmd_landscape(out, "auto", 21, 0.0, cfg.alpha_max)
-    if code != EXIT_OK:
-        return code
-    return cmd_taylor(out)
+    return cmd_landscape(out, "auto", 21, 0.0)
 
 
 def _version() -> str:
@@ -402,8 +401,7 @@ def main(argv=None) -> int:
         if args.command == "baseline":
             return cmd_baseline(cfg, out, args.count, mode=args.mode)
         if args.command == "landscape":
-            hi = args.hi if args.hi is not None else cfg.alpha_max
-            return cmd_landscape(out, args.pair, args.points, args.lo, hi,
+            return cmd_landscape(out, args.pair, args.points, args.lo, args.hi,
                                  truth_override=args.truth)
         if args.command == "taylor":
             return cmd_taylor(out)

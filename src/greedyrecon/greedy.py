@@ -27,6 +27,7 @@ from .objectives import (
     DiscriminationObjective,
     FittingObjective,
     SolverContext,
+    constant_control,
     control_to_vec,
     vec_to_control,
 )
@@ -74,13 +75,12 @@ class GreedyConfig:
 class GreedyRun:
     """A greedy design; each completed step is one control and one progress
     record (stage, k, scores, errors, winner, f_max), so a run that fails at
-    step k still holds k usable controls.  ``betas`` are the last completed
-    fit; ``stopped_by`` is "tol1", "exhausted" or "failed"."""
+    step k still holds k usable controls; ``stopped_by`` is "tol1",
+    "exhausted" or "failed"."""
 
     basis: object
     controls: list = dc_field(default_factory=list)
     progress: list = dc_field(default_factory=list)
-    betas: dict = dc_field(default_factory=dict)
     stopped_by: str = "failed"
 
     @property
@@ -145,14 +145,6 @@ def control_optim_config(cfg: GreedyConfig, grid) -> OptimConfig:
     return replace(cfg.optim_control, grad_tol=cfg.optim_control.grad_tol * grid.h)
 
 
-def _constant_start(grid, pair) -> np.ndarray:
-    m = grid.n - 1
-    field = np.empty((2, m, m))
-    field[0] = pair[0]
-    field[1] = pair[1]
-    return field.reshape(-1)
-
-
 def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
     obj = DiscriminationObjective(ctx, beta, cand, cfg.nu, cfg.reg_sign)
     lo, hi = cfg.box.flat_bounds(ctx.grid)
@@ -160,7 +152,7 @@ def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
     # smoothed away by the solve and makes a poor start at fine meshes,
     # while the informative controls are smooth and large-scale
     starts = list(starts)
-    starts += [_constant_start(ctx.grid, cfg.box.sample_constant(rng))
+    starts += [control_to_vec(constant_control(ctx.grid, cfg.box.sample_constant(rng)))
                for _ in range(cfg.optim_control.restarts)]
     return multistart_maximize(obj, starts, lo, hi,
                                control_optim_config(cfg, ctx.grid), rng,
@@ -273,7 +265,6 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
             record["errors"] = dict(sorted(errors.items()))
             run.controls.append(control)
             run.progress.append(record)
-            run.betas = betas
     except GreedyFailure as exc:
         exc.partial = run
         raise

@@ -84,6 +84,14 @@ def vec_to_control(grid, vec: np.ndarray) -> np.ndarray:
     return field_from_interior(grid, vec)
 
 
+def constant_control(grid, pair) -> np.ndarray:
+    """Control field equal to ``pair`` (one value per component) at every
+    interior node, zero on the boundary ring."""
+    field = grid.zero_field()
+    field[:, 1:-1, 1:-1] = np.asarray(pair, dtype=float)[:, None, None]
+    return field
+
+
 def project_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Componentwise clamp of x onto [lo, hi]."""
     x = np.asarray(x, dtype=float)

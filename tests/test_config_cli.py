@@ -204,6 +204,65 @@ class TestCliLifecycle:
         assert doc["k"] == 2
         assert np.isfinite(doc["h1_per_dalpha"]["max"])
 
+    def test_new_design_drops_earlier_identification(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, degree=2,
+                          optim_control={"max_iters": 30, "restarts": 1})
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "--seed", "1", "greedy"]) == 0
+        assert main(["--config", str(cfg), "--seed", "1", "identify"]) == 0
+        assert main(["--config", str(cfg), "--seed", "5", "greedy"]) == 0
+        assert not (art / "identified.csv").exists()
+        assert "identify" not in json.loads((art / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "taylor"]) == 2
+        assert "run identify" in capsys.readouterr().err
+
+    def test_stability_probe_keeps_design_config(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        design = (art / "config.json").read_bytes()
+        assert main(["--config", str(cfg), "--seed", "4", "stability-probe",
+                     "--k", "2", "--samples", "4"]) == 0
+        assert (art / "config.json").read_bytes() == design
+        doc = json.loads((art / "stability.json").read_text())
+        assert doc["config"]["seed"] == 4
+
+    def test_baseline_replaces_greedy_design(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        assert main(["--config", str(cfg), "baseline", "--count", "3"]) == 0
+        assert not (art / "greedy.json").exists()
+        summary = json.loads((art / "summary.json").read_text())
+        assert "greedy" not in summary and summary["baseline"]["count"] == 3
+
+    def test_failed_design_run_keeps_earlier_design(self, tmp_path, monkeypatch):
+        import greedyrecon.cli as cli_mod
+        from greedyrecon.exceptions import NumericalError
+
+        cfg = tiny_config(tmp_path)
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        before = {p.name: p.read_bytes() for p in art.iterdir()}
+
+        def broken(ctx, gcfg):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(cli_mod, "run_greedy", broken)
+        assert main(["--config", str(cfg), "--seed", "9", "greedy"]) == 3
+        assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+
+    def test_landscape_default_hi_is_design_alpha_max(self, tmp_path):
+        cfg = tiny_config(tmp_path, degree=2, alpha_max=0.5,
+                          optim_control={"max_iters": 30, "restarts": 1})
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        # the command line's own config has alpha_max 1
+        assert main(["--out", str(art), "landscape", "--points", "3"]) == 0
+        header = (art / "landscape.csv").read_text().split("\n")[0].split(",")
+        assert [float(c) for c in header[1:]] == [0.0, 0.25, 0.5]
+
     def test_all_chain(self, tmp_path):
         cfg = tiny_config(tmp_path, degree=2,
                           optim_control={"max_iters": 25, "restarts": 1})
@@ -288,6 +347,17 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["--config", str(cfg), "identify"]) == 2
         assert "holds no control" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_controls_off_the_config_grid_exit_code(self, tmp_path, capsys, n):
+        cfg = tiny_config(tmp_path)
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "greedy"]) == 0
+        doc = json.loads((art / "config.json").read_text())
+        (art / "config.json").write_text(json.dumps(dict(doc, n=n)))
+        capsys.readouterr()
+        assert main(["--out", str(art), "identify"]) == 2
+        assert "controls.csv" in capsys.readouterr().err
 
     def test_all_needs_quadratic_pair_before_any_work(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, degree=1)

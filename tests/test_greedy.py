@@ -12,14 +12,13 @@ from greedyrecon import (
     run_greedy,
 )
 from greedyrecon.greedy import (
-    _constant_start,
     _select_winner,
     fitting_targets,
     run_fitting_sweep,
     run_initialization,
     stage_rng,
 )
-from greedyrecon.objectives import DiscriminationObjective, control_to_vec
+from greedyrecon.objectives import DiscriminationObjective, constant_control, control_to_vec
 from greedyrecon.optimize import multistart_maximize
 
 from conftest import make_context
@@ -43,7 +42,7 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     starts = [np.zeros(lo.size)]
     if prev_control is not None:
         starts.append(control_to_vec(prev_control))
-    starts += [_constant_start(ctx.grid, cfg.box.sample_constant(rng))
+    starts += [control_to_vec(constant_control(ctx.grid, cfg.box.sample_constant(rng)))
                for _ in range(restarts)]
     ocfg = dataclasses.replace(cfg.optim_control,
                                grad_tol=cfg.optim_control.grad_tol * ctx.grid.h,
@@ -254,7 +253,6 @@ class TestFailureHandling:
         assert partial.winners == [partial.progress[0]["winner"]]
         assert partial.swaps == [(0, partial.progress[0]["winner"])]
         assert partial.f_max_history == [partial.progress[0]["f_max"]]
-        assert partial.betas == {}
         assert partial.stopped_by == "failed"
 
 
