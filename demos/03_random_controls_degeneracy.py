@@ -43,7 +43,7 @@ def main():
                                OptimConfig(grad_tol=1e-12, max_iters=3000,
                                            restarts=1),
                                alpha_max=1.0, seed=0)
-    states = [ctx.solve(ctx.combo(alpha), eps) for eps in controls]
+    states = ctx.solve(ctx.combo(alpha), np.stack(controls))
     sets, square = solution_sets(states)
     union = np.concatenate([s.points for s in sets])
     print(f"identification objective: {value:.3e}  (data matched precisely)")

@@ -54,8 +54,9 @@ class LandscapeScan:
 
 
 def generate_data(truth: Nonlinearity, controls, ctx: SolverContext):
-    """Noiseless observations: forward solves with the true nonlinearity."""
-    return [ctx.solve(truth, eps) for eps in controls]
+    """Noiseless observations: the true nonlinearity's states under every
+    control, solved as one stack."""
+    return list(ctx.solve(truth, np.stack(controls)))
 
 
 def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
@@ -297,8 +298,7 @@ def stability_probe(ctx: SolverContext, k: int, samples: int, seed: int,
         if dalpha == 0.0:
             continue
         try:
-            y1 = ctx.solve(ctx.combo(a1), control)
-            y2 = ctx.solve(ctx.combo(a2), control)
+            y1, y2 = ctx.solve(ctx.combo(np.stack([a1, a2])), np.stack([control, control]))
         except NumericalError:
             continue
         diff = y1 - y2

@@ -15,7 +15,9 @@ Artifacts are directories of JSON summaries and CSV matrices; CSV floats
 carry 17 significant digits so reruns with equal seeds are byte-identical.
 A directory holds one design: ``greedy`` and ``baseline`` start it over
 (``write_design``); ``identify``, ``landscape`` and ``taylor`` read its
-config, basis and controls, and every other command writes only its own outputs.
+config, basis and controls (``--config`` only names the directory, and is
+not read when ``--out`` is given), and every other command writes only its
+own outputs.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 partial
 result (a greedy design stopped by a failure, written up to its last step).
 """
@@ -79,7 +81,10 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
         m, node = int(m), (int(comp), int(i), int(j))
         if min(node) < 0 or node[0] > 1 or max(node[1:]) > grid.n:
             raise ConfigError(f"{path}: node {node} lies outside the n={grid.n} grid")
-        by_index.setdefault(m, np.zeros((2,) + grid.shape))[node] = float(value)
+        field = by_index.get(m)
+        if field is None:
+            field = by_index[m] = np.zeros((2,) + grid.shape)
+        field[node] = float(value)
         rows[m] = rows.get(m, 0) + 1
     if any(count != 2 * (grid.n + 1) ** 2 for count in rows.values()):
         raise ConfigError(f"{path}: a control does not cover the n={grid.n} grid")
@@ -197,7 +202,7 @@ def cmd_identify(out: Path, truth_override: str | None = None) -> int:
     write_csv(out / "identified.csv", ["position", "i1", "i2", "coefficient"],
               [(p, e[0], e[1], float(alpha[p])) for p, e in enumerate(exps)])
 
-    states = [ctx.solve(ctx.combo(alpha), eps) for eps in controls]
+    states = ctx.solve(ctx.combo(alpha), np.stack(controls))
     sets, square = analysis.solution_sets(states)
     coll = [analysis.collinearity(s.points) for s in sets]
     coll_union = analysis.collinearity(np.concatenate([s.points for s in sets]))
@@ -347,6 +352,11 @@ def _version() -> str:
     return __version__
 
 
+# commands that read the config.json of the design in the artifact directory;
+# the command line's config only names that directory when --out does not
+DESIGN_READERS = ("identify", "landscape", "taylor")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -392,8 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        out = Path(cfg.output_dir)
+        if args.command in DESIGN_READERS and args.out is not None:
+            cfg, out = None, Path(args.out)
+        else:
+            cfg = _load_config(args)
+            out = Path(cfg.output_dir)
         if args.command == "greedy":
             return cmd_greedy(cfg, out)
         if args.command == "identify":

@@ -5,13 +5,23 @@ interior nodes, with L the 5-point discretization of -Laplace and
 homogeneous Dirichlet data.  It is solved by a relaxed fixed-point
 iteration: the nonlinearity is frozen at the previous iterate, a Poisson
 problem is solved, and the new iterate is a convex combination of old and
-new.
+new.  Because the lifted coupling ``g = (gamma1 G, -gamma2 G)`` has one
+direction, every iterate keeps ``y2 - y0_2 = -(gamma2/gamma1) (y1 - y0_1)``
+with ``y0 = L^-1 eps``; the iteration therefore runs on y1 alone, with one
+scalar Poisson solve per step, and rebuilds y2 from that relation.
 
 The linearized adjoint system couples the two components through the
-transposed pointwise Jacobian of g.  Because the lifted coupling
-``g = (gamma1 G, -gamma2 G)`` is rank one at every node, the adjoint reduces
+transposed pointwise Jacobian of g.  The same rank-one structure reduces it
 to one symmetric scalar problem, solved by conjugate gradients
 preconditioned with the exact Poisson inverse, plus one Poisson pair solve.
+
+Both solvers take one item ``(2, n+1, n+1)`` or a stack of items
+``(B, 2, n+1, n+1)`` and solve the stack in one pass: every transform acts
+on all items still iterating, each item stops on its own test, and every
+per-item quantity (update norm, inner product, residual) is reduced over
+that item alone, so an item's result is bit-identical to its solve alone.
+A stack shares one nonlinearity, or a row-stacked ``BasisCombo`` with one
+coefficient row per item.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NumericalError
-from .grid import NegLaplacian, field_from_interior, interior
+from .grid import NegLaplacian, interior
 from .nonlinearity import Nonlinearity
 
 
@@ -49,10 +59,38 @@ class FixedPointConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of a (stacked) fixed-point solve.
+
+    ``iterations`` counts the loops the stack made, the most any item took;
+    ``item_iterations`` holds each item's own count.  ``final_residual`` is
+    the largest last update norm over the items, ``converged`` holds when
+    every item reached ``tol2``, and ``residual_history`` has the largest
+    update norm of the items still iterating, per loop.
+    """
+
     iterations: int
     final_residual: float
     converged: bool
     residual_history: list = field(default_factory=list)
+    item_iterations: np.ndarray = None
+
+
+def _as_stack(fields: np.ndarray, grid, what: str) -> np.ndarray:
+    """A (2, n+1, n+1) item or a (B, 2, n+1, n+1) stack, as a stack."""
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim not in (3, 4) or fields.shape[-3:] != (2,) + grid.shape:
+        raise ValueError(f"{what} does not live on the operator's grid")
+    return fields if fields.ndim == 4 else fields[None]
+
+
+def _item_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner product of each item (index on the first axis) with its partner.
+
+    A stacked (1, N) @ (N, 1) product reduces every item alone, so an item's
+    value does not depend on the stack it sits in.
+    """
+    count = len(u)
+    return (u.reshape(count, 1, -1) @ v.reshape(count, -1, 1)).reshape(count)
 
 
 def solve_semilinear(
@@ -61,42 +99,72 @@ def solve_semilinear(
     eps: np.ndarray,
     cfg: FixedPointConfig,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Fixed-point solve of L y + g(y) = eps.
+    """Fixed-point solve of L y + g(y) = eps for one control or a stack.
 
-    Starts from the Poisson solve L y0 = eps, then repeats
-    L y~ = eps - g(y_l), y_{l+1} = lambda_a*y_l + (1-lambda_a)*y~ until the
-    update norm E = h*||y_{l+1} - y_l||_2 drops to tol2 or ell_max is hit.
-    Returns the last iterate together with a report; non-convergence is the
+    Starts from the Poisson pair solve y0 = L^-1 eps, then repeats
+    L y1~ = eps1 - gamma1 G(y_l), y1_{l+1} = lambda_a*y1_l + (1-lambda_a)*y1~,
+    y2_{l+1} = y0_2 - (gamma2/gamma1) (y1_{l+1} - y0_1), which is the
+    coupled iteration on both components, until the update norm
+    E = h*||y1_{l+1} - y1_l||_2 * sqrt(1 + (gamma2/gamma1)^2) (the coupled
+    update norm) drops to tol2 or ell_max is hit, per item.  Returns the
+    states in the shape of ``eps`` with a report; non-convergence is the
     caller's decision.  A non-finite update norm raises NumericalError
-    ("blew up"); so does a relative stencil residual above 1e-9 of the last
-    linear solve L y~ = eps - g(y_l), checked once after the loop.
+    ("blew up"); so does a relative stencil residual above 1e-9 of an
+    item's last linear solve L y1~ = eps1 - gamma1 G(y_l), checked once
+    after the loop.
     """
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (2,) + op.grid.shape:
-        raise ValueError("control does not live on the operator's grid")
-    h = op.grid.h
-    y = op.solve(eps)
+    stack = _as_stack(eps, op.grid, "control")
+    count = len(stack)
+    ratio = nonlin.gamma2 / nonlin.gamma1
+    scale = op.grid.h * np.sqrt(1.0 + ratio * ratio)
+    y0 = op.solve(stack)
+    # a finished item's state overwrites its row of y0, which only the items
+    # still iterating read
+    states = y0
+    iterations = np.zeros(count, dtype=int)
+    final = np.zeros(count)
+    last_rhs = np.empty((count,) + op.grid.shape)
+    last_sol = np.empty_like(last_rhs)
     history = []
+    # the items still iterating, compacted to the front of each working array
+    items, item_nonlin = np.arange(count), nonlin
+    y, eps1, base = y0.copy(), stack[:, 0], y0
     for ell in range(1, cfg.ell_max + 1):
-        rhs = eps - nonlin.g(y)
-        y_tilde = op.solve(rhs)
-        y_new = cfg.lambda_a * y + (1.0 - cfg.lambda_a) * y_tilde
+        rhs = eps1 - item_nonlin.g(y)[:, 0]
+        sol = op.solve(rhs)
+        y1 = cfg.lambda_a * y[:, 0] + (1.0 - cfg.lambda_a) * sol
         with np.errstate(over="ignore", invalid="ignore"):
-            err = h * float(np.linalg.norm((y_new - y).ravel()))
-        if not np.isfinite(err):
+            step = y1 - y[:, 0]
+            err = scale * np.sqrt(_item_dots(step, step))
+        if not np.isfinite(err).all():
             raise NumericalError(f"fixed-point iterate blew up at iteration {ell}")
-        history.append(err)
-        y = y_new
-        if err <= cfg.tol2:
-            break
-    b = interior(rhs)
+        history.append(float(err.max()))
+        y[:, 0] = y1
+        y[:, 1] = base[:, 1] - ratio * (y1 - base[:, 0])
+        done = (err <= cfg.tol2) | (ell == cfg.ell_max)
+        if done.any():
+            stopped = items[done]
+            states[stopped] = y[done]
+            iterations[stopped] = ell
+            final[stopped] = err[done]
+            last_rhs[stopped] = rhs[done]
+            last_sol[stopped] = sol[done]
+            if done.all():
+                break
+            going = ~done
+            items, y, eps1, base = items[going], y[going], eps1[going], base[going]
+            item_nonlin = nonlin.rows(items)
+    b = interior(last_rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = np.linalg.norm(op.apply_interior(interior(y_tilde)) - b, axis=(-2, -1))
-        bnorm = np.linalg.norm(b, axis=(-2, -1))
+        res = op.apply_interior(interior(last_sol)) - b
+        res = np.sqrt(_item_dots(res, res))
+        bnorm = np.sqrt(_item_dots(b, b))
         rel = res[bnorm > 0] / bnorm[bnorm > 0]
     if not np.all(rel <= 1e-9):
         raise NumericalError(f"linear solve residual {np.max(rel):.3e} too large")
-    return y, SolveReport(ell, err, err <= cfg.tol2, history)
+    report = SolveReport(ell, float(np.max(final)), bool(np.all(final <= cfg.tol2)),
+                         history, iterations)
+    return (states if np.ndim(eps) == 4 else states[0]), report
 
 
 def coupled_linear_matrix(
@@ -126,37 +194,47 @@ ADJOINT_CG_REDUCTION = 1e-14
 
 
 def _solve_shifted(op: NegLaplacian, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L + diag c) s = b on interior values by CG preconditioned with L^-1.
+    """Solve (L + diag c_i) s_i = b_i on a stack of interior values (B, m, m)
+    by CG preconditioned with L^-1, one independent iteration per item.
 
     Raises NumericalError labelled "indefinite linearization" if a search
     direction has nonpositive curvature, which cannot happen while
     c > -lambda_min(L), in particular for c >= 0.
     """
+    out = np.zeros_like(b)
+    items = np.arange(len(b))
     s = np.zeros_like(b)
     r = b.copy()
     z = op.inverse_interior(r)
-    rz = float(np.vdot(r, z))
+    rz = _item_dots(r, z)
     stop = ADJOINT_CG_REDUCTION**2 * rz
     p = z
     iterations = 0
-    while rz > stop:
-        if iterations == b.size:
+    while True:
+        going = rz > stop
+        if not going.all():
+            out[items[~going]] = s[~going]
+            if not going.any():
+                return out
+            items, c, s, r, p, rz, stop = (
+                a[going] for a in (items, c, s, r, p, rz, stop))
+        if iterations == b[0].size:
             raise NumericalError("adjoint conjugate gradient did not converge")
         ap = op.apply_interior(p) + c * p
-        curvature = float(np.vdot(p, ap))
-        if not curvature > 0.0:
+        curvature = _item_dots(p, ap)
+        if not (curvature > 0.0).all():
+            k = np.flatnonzero(~(curvature > 0.0))[0]
             raise NumericalError(
                 f"adjoint solve hit an indefinite linearization "
-                f"(curvature {curvature:.3e}, min c = {float(np.min(c)):.3e})")
-        alpha = rz / curvature
+                f"(curvature {curvature[k]:.3e}, min c = {float(np.min(c[k])):.3e})")
+        alpha = (rz / curvature)[:, None, None]
         s += alpha * p
         r -= alpha * ap
         z = op.inverse_interior(r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        rz_new = _item_dots(r, z)
+        p = z + (rz_new / rz)[:, None, None] * p
         rz = rz_new
         iterations += 1
-    return s
 
 
 def solve_adjoint(
@@ -167,34 +245,43 @@ def solve_adjoint(
 ) -> np.ndarray:
     """Solve the linearized transposed system (L + J(state)^T) q = rhs.
 
-    With ``J^T = grad G (gamma1, -gamma2)``, the combination
+    Takes one item or a stack, like :func:`solve_semilinear`, and returns
+    the adjoint states in the shape of ``rhs``.  With
+    ``J^T = grad G (gamma1, -gamma2)``, the combination
     ``s = gamma1 q1 - gamma2 q2`` solves the scalar problem
     ``(L + diag c) s = gamma1 b1 - gamma2 b2`` with
     ``c = gamma1 dG/dy1 - gamma2 dG/dy2``, and then
     ``q_i = L^-1 (b_i - dG/dy_i * s)``.  For monotone g, c >= 0 and the
-    scalar operator is SPD.  The relative residual of the full coupled
-    system is checked to 1e-9; an indefinite scalar operator or a failed
-    check raises NumericalError.
+    scalar operator is SPD.  An item with zero right-hand side gets q = 0.
+    The relative residual of each item's full coupled system is checked to
+    1e-9; an indefinite scalar operator or a failed check raises
+    NumericalError.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (2,) + op.grid.shape:
-        raise ValueError("right-hand side does not live on the operator's grid")
-    b = interior(rhs)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return op.grid.zero_field()
-    g1, g2 = nonlin.gamma1, nonlin.gamma2
-    with np.errstate(over="ignore", invalid="ignore"):
-        dG = np.stack(nonlin.dG(interior(state[0]), interior(state[1])))
-    if not np.all(np.isfinite(dG)):
-        raise NumericalError("non-finite linearization in the adjoint solve")
-    c = g1 * dG[0] - g2 * dG[1]
-    s = _solve_shifted(op, c, g1 * b[0] - g2 * b[1])
-    q = op.inverse_interior(b - dG * s)
-    # residual of (L + J^T) q = b, with J^T q = dG * (gamma1 q1 - gamma2 q2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = op.apply_interior(q) + dG * (g1 * q[0] - g2 * q[1]) - b
-        rel = np.linalg.norm(res) / bnorm
-    if not rel <= 1e-9:
-        raise NumericalError(f"adjoint solve residual {rel:.3e} too large")
-    return field_from_interior(op.grid, q)
+    stack = _as_stack(rhs, op.grid, "right-hand side")
+    states = np.asarray(state, dtype=float).reshape(stack.shape)
+    out = np.zeros(stack.shape)
+    b = interior(stack)
+    bnorm = np.sqrt(_item_dots(b, b))
+    items = np.flatnonzero(bnorm > 0.0)
+    if items.size < len(stack):
+        b, states, bnorm = b[items], states[items], bnorm[items]
+        nonlin = nonlin.rows(items)
+    if items.size:
+        g1, g2 = nonlin.gamma1, nonlin.gamma2
+        y = interior(states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dG = np.stack(nonlin.dG(y[:, 0], y[:, 1]), axis=1)
+        if not np.isfinite(dG).all():
+            raise NumericalError("non-finite linearization in the adjoint solve")
+        c = g1 * dG[:, 0] - g2 * dG[:, 1]
+        s = _solve_shifted(op, c, g1 * b[:, 0] - g2 * b[:, 1])
+        q = op.inverse_interior(b - dG * s[:, None])
+        # residual of (L + J^T) q = b, with J^T q = dG * (gamma1 q1 - gamma2 q2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = op.apply_interior(q) + dG * (g1 * q[:, 0] - g2 * q[:, 1])[:, None] - b
+            rel = np.sqrt(_item_dots(res, res)) / bnorm
+        if not np.all(rel <= 1e-9):
+            bad = rel[~(rel <= 1e-9)][0]
+            raise NumericalError(f"adjoint solve residual {bad:.3e} too large")
+        out[items, :, 1:-1, 1:-1] = q
+    return out if np.ndim(rhs) == 4 else out[0]

@@ -198,8 +198,9 @@ def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
 
 
 def fitting_targets(ctx: SolverContext, candidate_pos: int, controls):
-    """States of the candidate's single-element nonlinearity under each control."""
-    return [ctx.solve(ctx.unit(candidate_pos), eps) for eps in controls]
+    """States of the candidate's single-element nonlinearity under each
+    control, solved as one stack."""
+    return list(ctx.solve(ctx.unit(candidate_pos), np.stack(controls)))
 
 
 def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):

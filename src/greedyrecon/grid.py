@@ -157,18 +157,21 @@ class NegLaplacian:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve op(u) = rhs on interior nodes; boundary of u is zero.
 
-        Accepts a scalar field (m, m) or a stacked pair (2, m, m); the pair
-        is solved in one transform.  Non-finite values raise NumericalError;
-        solve_semilinear checks the stencil residual of its last solve.
+        Accepts fields (..., n+1, n+1) with any leading axes, e.g. a scalar
+        field, a component pair or a stack of pairs, all solved in one
+        transform.  Non-finite values raise NumericalError; solve_semilinear
+        checks the stencil residual of its last solve.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-2:] != self.grid.shape:
             raise ValueError("right-hand side does not live on the operator's grid")
         b = interior(rhs)
         x = self.inverse_interior(b)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(x).all() and np.isfinite(b).all()):
             raise NumericalError("linear solve produced non-finite values")
-        return field_from_interior(self.grid, x)
+        out = np.zeros(rhs.shape)
+        out[..., 1:-1, 1:-1] = x
+        return out
 
     def norms(self, field: np.ndarray) -> dict[str, float]:
         """Discrete L2, H1-seminorm and Laplacian norms of a field."""

@@ -10,7 +10,7 @@ term ``g(y) = (gamma1 * G(y), -gamma2 * G(y))`` with ``gamma1 >= gamma2 > 0``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,20 +98,26 @@ class Nonlinearity:
         """Partial derivatives (dG/dy1, dG/dy2)."""
         raise NotImplementedError
 
+    def rows(self, index) -> "Nonlinearity":
+        """The nonlinearity of the stack items at ``index``; one shared by
+        every item returns itself."""
+        return self
+
     def g(self, field: np.ndarray) -> np.ndarray:
-        """Lifted reaction term evaluated nodally on a 2-component field.
+        """Lifted reaction term evaluated nodally on a 2-component field
+        (..., 2, n, n); leading axes index stack items.
 
         Raises NumericalError with the offending node if any output is
         non-finite (e.g. overflow of the exponential target).
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            G = self.G(field[0], field[1])
-        out = np.stack([self.gamma1 * G, -self.gamma2 * G])
-        if not np.all(np.isfinite(out)):
+            G = self.G(field[..., 0, :, :], field[..., 1, :, :])
+        out = np.stack([self.gamma1 * G, -self.gamma2 * G], axis=-3)
+        if not np.isfinite(out).all():
             bad = np.argwhere(~np.isfinite(out))[0]
             raise NumericalError(
-                f"non-finite nonlinearity value at component {bad[0]}, "
-                f"node ({bad[1]}, {bad[2]})"
+                f"non-finite nonlinearity value at component {bad[-3]}, "
+                f"node ({bad[-2]}, {bad[-1]})"
             )
         return out
 
@@ -128,7 +134,11 @@ class Nonlinearity:
 
 @dataclass(frozen=True, eq=False)
 class BasisCombo(Nonlinearity):
-    """G(y) = sum_j coeffs[j] * monomial at position j of the basis order."""
+    """G(y) = sum_j coeffs[j] * monomial at position j of the basis order.
+
+    A (B, K) coefficient array stacks B combos, one per item of a stack:
+    row b acts on inputs whose leading index is b.
+    """
 
     basis: MonomialBasis = None
     coeffs: np.ndarray = None
@@ -136,14 +146,28 @@ class BasisCombo(Nonlinearity):
     def __post_init__(self):
         super().__post_init__()
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size > self.basis.size:
+        if c.ndim not in (1, 2) or c.shape[-1] > self.basis.size:
             raise ValueError("coefficient vector does not fit the basis")
         object.__setattr__(self, "coeffs", c)
 
-    def _terms(self):
-        """Nonzero (coefficient, exponent pair) terms in the current order."""
-        return [(self.coeffs[j], self.basis.exponent(j))
-                for j in np.flatnonzero(self.coeffs)]
+    def rows(self, index) -> "BasisCombo":
+        if self.coeffs.ndim == 1:
+            return self
+        return replace(self, coeffs=self.coeffs[index])
+
+    def _terms(self, ndim: int):
+        """Nonzero (coefficient, exponent pair) terms in the current order.
+
+        Stacked rows give each coefficient as a column shaped to broadcast
+        over ``ndim``-dimensional inputs; a row's zero entries add exact
+        zeros, so each row evaluates as its own combo would.
+        """
+        c = self.coeffs
+        if c.ndim == 1:
+            return [(c[j], self.basis.exponent(j)) for j in np.flatnonzero(c)]
+        shape = (len(c),) + (1,) * (ndim - 1)
+        return [(c[:, j].reshape(shape), self.basis.exponent(j))
+                for j in np.flatnonzero(np.any(c != 0.0, axis=0))]
 
     def _power_tables(self, terms, y1, y2):
         """Power tables of y1 and y2 up to the largest exponents in ``terms``."""
@@ -151,17 +175,19 @@ class BasisCombo(Nonlinearity):
                 powers(y2, max((e[1] for _, e in terms), default=0)))
 
     def G(self, y1, y2):
-        terms = self._terms()
+        shape = np.broadcast(y1, y2).shape
+        terms = self._terms(len(shape))
         p1, p2 = self._power_tables(terms, y1, y2)
-        total = np.zeros(np.broadcast(p1[0], p2[0]).shape)
+        total = np.zeros(shape)
         for c, (i1, i2) in terms:
             total += c * p1[i1] * p2[i2]
         return total
 
     def dG(self, y1, y2):
-        terms = self._terms()
+        shape = np.broadcast(y1, y2).shape
+        terms = self._terms(len(shape))
         p1, p2 = self._power_tables(terms, y1, y2)
-        d1 = np.zeros(np.broadcast(p1[0], p2[0]).shape)
+        d1 = np.zeros(shape)
         d2 = np.zeros_like(d1)
         for c, (i1, i2) in terms:
             if i1 > 0:

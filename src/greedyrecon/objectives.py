@@ -12,6 +12,12 @@ gradients are plain partial derivatives with respect to those entries, so
 they match central finite differences of the value directly; for control
 variables this is h^2 times the L2-representer.
 
+Each evaluation makes one stacked forward solve and, with a gradient, one
+stacked adjoint solve (see ``forward``): the misfit stacks its M controls
+under one coefficient vector, the discrimination stacks surrogate and
+candidate as the two rows of one combo under one control.  Each item of a
+stack stops on its own test, so its state is the one a solve alone gives.
+
 Each oracle keeps a one-slot cache of the forward states at the last
 evaluated point, so a value-only call from a line search followed by a
 gradient call at the same point solves the forward problems only once.
@@ -27,7 +33,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .forward import FixedPointConfig, solve_adjoint, solve_semilinear
 from .grid import NegLaplacian, field_from_interior, interior
-from .nonlinearity import BasisCombo, MonomialBasis, unit_combo
+from .nonlinearity import BasisCombo, MonomialBasis, powers, unit_combo
 
 
 class ObjectiveEval(NamedTuple):
@@ -125,6 +131,8 @@ class SolverContext:
         return unit_combo(self.basis, position, self.gamma1, self.gamma2)
 
     def solve(self, nonlin, eps) -> np.ndarray:
+        """States for one control (2, n+1, n+1) or a stack (B, 2, n+1, n+1);
+        NumericalError unless every item converged."""
         state, report = solve_semilinear(self.op, nonlin, eps, self.fp)
         if not report.converged:
             raise NumericalError(
@@ -138,13 +146,18 @@ def _misfit_sq(grid, diff: np.ndarray) -> float:
     return grid.h**2 * float(np.sum(diff * diff))
 
 
-def _coeff_misfit_grad(ctx: SolverContext, state, adjoint, k: int) -> np.ndarray:
-    """<q, Phi_j(y)>_h for j < k, with Phi_j = (g1*phi_j, -g2*phi_j)."""
-    y1 = interior(state[0])
-    y2 = interior(state[1])
-    mono = ctx.basis.monomials(y1, y2)[:k]
-    r = ctx.gamma1 * interior(adjoint[0]) - ctx.gamma2 * interior(adjoint[1])
-    return ctx.grid.h**2 * np.tensordot(mono, r, axes=([1, 2], [0, 1]))
+def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarray:
+    """sum_m <q_m, Phi_j(y_m)>_h for j < k, with Phi_j = (g1*phi_j, -g2*phi_j),
+    over stacks of states and adjoints (M, 2, n+1, n+1), one monomial at a
+    time."""
+    y = interior(states)
+    q = interior(adjoints)
+    r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
+    exps = [ctx.basis.exponent(j) for j in range(k)]
+    p1 = powers(y[:, 0], max((e[0] for e in exps), default=0))
+    p2 = powers(y[:, 1], max((e[1] for e in exps), default=0))
+    pairing = np.array([np.vdot(p1[i1] * p2[i2], r) for i1, i2 in exps])
+    return ctx.grid.h**2 * pairing
 
 
 class _LastPoint:
@@ -175,7 +188,8 @@ class FittingObjective:
     The greedy fitting problem uses the default weight 1/2.  The gradient
     entry j is nu*beta_j plus the adjoint pairings of the lifted basis
     element j with each control's adjoint state, whose right-hand side
-    carries the factor -2*weight.
+    carries the factor -2*weight.  The M controls are solved as one stack,
+    and so are their M adjoints.
     """
 
     def __init__(self, ctx: SolverContext, controls, targets, nu: float,
@@ -185,30 +199,28 @@ class FittingObjective:
         if len(controls) != len(targets):
             raise ValueError("controls and targets must pair up")
         self.ctx = ctx
-        self.controls = list(controls)
-        self.targets = list(targets)
+        self.controls = np.stack(controls)
+        self.targets = np.stack(targets)
         self.nu = float(nu)
         self.weight = float(weight)
         self._states = _LastPoint()
 
     def _solve(self, beta: np.ndarray):
-        nonlin = self.ctx.combo(beta)
-        return [self.ctx.solve(nonlin, eps) for eps in self.controls]
+        return self.ctx.solve(self.ctx.combo(beta), self.controls)
 
     def __call__(self, beta: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
         beta = np.asarray(beta, dtype=float)
         states = self._states.get(beta, self._solve)
         grid = self.ctx.grid
+        diff = states - self.targets
         value = 0.5 * self.nu * float(np.dot(beta, beta))
-        for y, t in zip(states, self.targets):
-            value += self.weight * _misfit_sq(grid, y - t)
+        for d in diff:
+            value += self.weight * _misfit_sq(grid, d)
         if not need_grad:
             return ObjectiveEval(value, None)
         nonlin = self.ctx.combo(beta)
-        grad = self.nu * beta
-        for y, t in zip(states, self.targets):
-            q = solve_adjoint(self.ctx.op, nonlin, y, (-2.0 * self.weight) * (y - t))
-            grad += _coeff_misfit_grad(self.ctx, y, q, beta.size)
+        adjoints = solve_adjoint(self.ctx.op, nonlin, states, (-2.0 * self.weight) * diff)
+        grad = self.nu * beta + _coeff_misfit_grad(self.ctx, states, adjoints, beta.size)
         return ObjectiveEval(value, grad)
 
 
@@ -225,6 +237,8 @@ class DiscriminationObjective:
     (the alternative convention in which the regularizer joins the
     maximized discrimination).  The initialization problem is the special
     case beta = () where the surrogate state is the plain Poisson solve.
+    Surrogate and candidate are the two rows of one stacked combo, so both
+    states, and both adjoints, are solved as one stack of two.
     """
 
     def __init__(self, ctx: SolverContext, beta, candidate_pos: int, nu: float,
@@ -236,25 +250,26 @@ class DiscriminationObjective:
         self.candidate_pos = int(candidate_pos)
         self.nu = float(nu)
         self.reg_sign = reg_sign
-        self.surrogate = ctx.combo(self.beta)
-        self.candidate = ctx.unit(self.candidate_pos)
+        rows = np.zeros((2, max(self.beta.size, self.candidate_pos + 1)))
+        rows[0, :self.beta.size] = self.beta
+        rows[1, self.candidate_pos] = 1.0
+        self.pair = ctx.combo(rows)
         self._states = _LastPoint()
 
     def _solve(self, vec: np.ndarray):
         eps = vec_to_control(self.ctx.grid, vec)
-        return eps, self.ctx.solve(self.surrogate, eps), self.ctx.solve(self.candidate, eps)
+        return eps, self.ctx.solve(self.pair, np.stack([eps, eps]))
 
     def __call__(self, vec: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
         vec = np.asarray(vec, dtype=float)
-        eps, y_b, y_c = self._states.get(vec, self._solve)
+        eps, states = self._states.get(vec, self._solve)
         grid = self.ctx.grid
-        diff = y_b - y_c
+        diff = states[0] - states[1]
         value = 0.5 * _misfit_sq(grid, diff) - self.reg_sign * 0.5 * self.nu * _misfit_sq(grid, eps)
         if not need_grad:
             return ObjectiveEval(value, None)
-        q_b = solve_adjoint(self.ctx.op, self.surrogate, y_b, diff)
-        q_c = solve_adjoint(self.ctx.op, self.candidate, y_c, -diff)
-        rep = interior(q_b) - self.reg_sign * self.nu * interior(eps) + interior(q_c)
+        q = solve_adjoint(self.ctx.op, self.pair, states, np.stack([diff, -diff]))
+        rep = interior(q[0]) - self.reg_sign * self.nu * interior(eps) + interior(q[1])
         grad = grid.h**2 * rep.reshape(-1)
         return ObjectiveEval(value, grad)
 

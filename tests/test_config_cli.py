@@ -263,6 +263,19 @@ class TestCliLifecycle:
         header = (art / "landscape.csv").read_text().split("\n")[0].split(",")
         assert [float(c) for c in header[1:]] == [0.0, 0.25, 0.5]
 
+    def test_design_readers_ignore_command_line_config(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, degree=2)
+        art = tmp_path / "art"
+        assert main(["--config", str(cfg), "baseline", "--count", "3"]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 1}))
+        for command in (["identify"], ["landscape", "--points", "3"], ["taylor"]):
+            assert main(["--config", str(bad), "--out", str(art)] + command) == 0
+        # without --out the command line's config names the directory
+        capsys.readouterr()
+        assert main(["--config", str(bad), "taylor"]) == 2
+        assert "at least 2 cells" in capsys.readouterr().err
+
     def test_all_chain(self, tmp_path):
         cfg = tiny_config(tmp_path, degree=2,
                           optim_control={"max_iters": 25, "restarts": 1})

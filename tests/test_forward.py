@@ -171,6 +171,134 @@ class TestSolveSemilinear:
         assert l2_norm(g, y0 - y5) < 1e-8
 
 
+# coupling strengths gamma1 >= gamma2
+gammas = st.tuples(st.floats(0.05, 3.0), st.floats(0.2, 1.0)).map(
+    lambda t: (t[0], t[0] * t[1]))
+
+
+def coupled_fixed_point(op, nonlin, eps, cfg):
+    """Reference: the relaxed fixed point on both components of one item,
+    L y~ = eps - g(y_l), with the coupled update norm h*||y_{l+1} - y_l||."""
+    y = op.solve(eps)
+    for ell in range(1, cfg.ell_max + 1):
+        y_new = cfg.lambda_a * y + (1.0 - cfg.lambda_a) * op.solve(eps - nonlin.g(y))
+        err = op.grid.h * float(np.linalg.norm((y_new - y).ravel()))
+        y = y_new
+        if err <= cfg.tol2:
+            break
+    return y, ell, err <= cfg.tol2
+
+
+# monotone-leaning interactions for the forward solve: nonnegative monomial
+# coefficients or a closed form, at gamma1 >= gamma2
+forward_nonlinearities = st.one_of(
+    st.builds(lambda gam, deg, seed: BasisCombo(
+        *gam, basis=MonomialBasis(deg),
+        coeffs=np.random.default_rng(seed).uniform(0.0, 1.0, MonomialBasis(deg).size)),
+        gammas, st.integers(0, 3), st.integers(0, 2**32 - 1)),
+    st.builds(lambda gam, kind: ClosedForm(*gam, kind=kind),
+              gammas, st.sampled_from(["bilinear", "sinusoidal", "exponential"])),
+)
+
+
+def stacked_pair(basis, rows, gamma1=0.2, gamma2=0.1):
+    """A row-stacked combo from coefficient vectors of any lengths."""
+    width = max(len(r) for r in rows)
+    coeffs = np.zeros((len(rows), width))
+    for b, r in enumerate(rows):
+        coeffs[b, :len(r)] = r
+    return BasisCombo(gamma1, gamma2, basis=basis, coeffs=coeffs)
+
+
+class TestReducedFixedPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 24), nonlin=forward_nonlinearities,
+           lam=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_coupled_fixed_point(self, n, nonlin, lam, seed):
+        g = Grid(n, 1.0)
+        op = NegLaplacian(g)
+        cfg = FixedPointConfig(lambda_a=lam)
+        eps = random_control(g, np.random.default_rng(seed))
+        ref, ref_iterations, ref_converged = coupled_fixed_point(op, nonlin, eps, cfg)
+        y, report = solve_semilinear(op, nonlin, eps, cfg)
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert report.iterations == ref_iterations
+        assert report.converged == ref_converged
+
+    def test_items_stop_on_their_own_test(self):
+        g = Grid(16, 1.0)
+        op = NegLaplacian(g)
+        basis = MonomialBasis(2)
+        rng = np.random.default_rng(11)
+        controls = np.stack([s * random_control(g, rng) for s in (0.0, 0.01, 1.0, 5.0)])
+        # no constant term, so the zero control converges at once
+        combos = [BasisCombo(0.2, 0.1, basis=basis, coeffs=np.r_[0.0, rng.uniform(0, 1, 5)]),
+                  stacked_pair(basis, [[0, 0.3], [0, 0, 1.0], [], np.r_[0.0, np.ones(5)]])]
+        cfg = FixedPointConfig()
+        for nonlin in combos:
+            ys, report = solve_semilinear(op, nonlin, controls, cfg)
+            assert ys.shape == controls.shape
+            assert len(set(report.item_iterations)) > 1
+            assert report.iterations == max(report.item_iterations)
+            for b, eps in enumerate(controls):
+                y, alone = solve_semilinear(op, nonlin.rows([b]), eps[None], cfg)
+                assert np.array_equal(ys[b], y[0])
+                assert report.item_iterations[b] == alone.iterations
+
+    def test_single_item_and_stack_of_one_agree(self):
+        g = Grid(12, 1.0)
+        op = NegLaplacian(g)
+        eps = random_control(g, np.random.default_rng(12))
+        nonlin = ClosedForm(0.2, 0.2, kind="sinusoidal")
+        y, report = solve_semilinear(op, nonlin, eps, FixedPointConfig())
+        ys, stacked = solve_semilinear(op, nonlin, eps[None], FixedPointConfig())
+        assert y.shape == eps.shape and np.array_equal(ys[0], y)
+        assert report.residual_history == stacked.residual_history
+
+    def test_blow_up_in_a_stack_keeps_its_label(self):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        basis = MonomialBasis(1)
+        nonlin = stacked_pair(basis, [[0.0, 0.5], [0.0, -200.0]], 1.0, 1.0)
+        eps = np.zeros((2, 2) + g.shape)
+        eps[:, :, 1:-1, 1:-1] = 0.5
+        messages = []
+        for rows in ([1], [0, 1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="blew up") as info:
+                    solve_semilinear(op, nonlin.rows(rows), eps[rows], FixedPointConfig())
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_stall_in_a_stack_is_reported(self):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        nonlin = ClosedForm(0.2, 0.2, kind="bilinear")
+        eps = np.stack([np.zeros((2,) + g.shape),
+                        constructed_control(0.5, 1.0, 0.2, 0.2, g)])
+        cfg = FixedPointConfig(tol2=1e-12, ell_max=3)
+        ys, report = solve_semilinear(op, nonlin, eps, cfg)
+        y, alone = solve_semilinear(op, nonlin, eps[1], cfg)
+        assert not report.converged and not alone.converged
+        assert list(report.item_iterations) == [1, 3]
+        assert report.final_residual == alone.final_residual
+        assert np.array_equal(ys[1], y) and np.all(ys[0] == 0.0)
+
+    def test_non_finite_nonlinearity_in_a_stack_names_its_node(self):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        nonlin = ClosedForm(0.2, 0.2, kind="exponential")
+        eps = np.zeros((3, 2) + g.shape)
+        eps[2, :, 1:-1, 1:-1] = 60.0
+        messages = []
+        for items in ([2], [0, 1, 2]):
+            with pytest.raises(NumericalError) as info:
+                solve_semilinear(op, nonlin, eps[items], FixedPointConfig())
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestSolveAdjoint:
     def test_zero_jacobian_reduces_to_poisson(self):
         g = Grid(10, 1.0)
@@ -221,8 +349,6 @@ def coupled_action(op, nonlin, state, v, transpose):
 
 # random interactions for the reduced adjoint: monomial combinations with
 # coefficients of either sign, or one of the closed forms, at gamma1 >= gamma2
-gammas = st.tuples(st.floats(0.05, 3.0), st.floats(0.2, 1.0)).map(
-    lambda t: (t[0], t[0] * t[1]))
 nonlinearities = st.one_of(
     st.builds(lambda gam, deg, seed: BasisCombo(
         *gam, basis=MonomialBasis(deg),
@@ -306,6 +432,63 @@ class TestReducedAdjoint:
         with pytest.raises(NumericalError, match="non-finite"):
             solve_adjoint(NegLaplacian(g), ClosedForm(0.2, 0.2, kind="exponential"),
                           state, rhs)
+
+
+class TestStackedAdjoint:
+    def test_items_bit_identical_to_solves_alone(self):
+        g = Grid(16, 1.0)
+        op = NegLaplacian(g)
+        basis = MonomialBasis(2)
+        rng = np.random.default_rng(21)
+        states = np.stack([0.5 * random_control(g, rng) for _ in range(4)])
+        rhs = np.stack([random_control(g, rng), np.zeros((2,) + g.shape),
+                        1e-6 * random_control(g, rng), random_control(g, rng)])
+        combos = [ClosedForm(0.3, 0.2, kind="sinusoidal"),
+                  stacked_pair(basis, [[0.1, 0.2], [0, 0, 0, 1.0], [], rng.uniform(0, 1, 6)],
+                               0.3, 0.2)]
+        for nonlin in combos:
+            q = solve_adjoint(op, nonlin, states, rhs)
+            assert q.shape == rhs.shape and np.all(q[1] == 0.0)
+            for b in range(len(rhs)):
+                alone = solve_adjoint(op, nonlin.rows([b]), states[b:b + 1], rhs[b:b + 1])
+                assert np.array_equal(q[b], alone[0])
+
+    def indefinite_pair(self, g):
+        basis = MonomialBasis(1)
+        pos = basis.position_of((1, 0))
+        rows = np.zeros((2, basis.size))
+        rows[0, pos], rows[1, pos] = 30.0, -30.0
+        rhs = np.stack([g.sample_scalar(kappa), g.zero_scalar()])
+        return BasisCombo(0.2, 0.2, basis=basis, coeffs=rows), np.stack([rhs, rhs])
+
+    def test_indefinite_item_keeps_its_label(self):
+        g = Grid(16, 1.0)
+        op = NegLaplacian(g)
+        nonlin, rhs = self.indefinite_pair(g)
+        states = np.zeros_like(rhs)
+        messages = []
+        for rows in ([1], [0, 1]):
+            with pytest.raises(NumericalError, match="indefinite linearization") as info:
+                solve_adjoint(op, nonlin.rows(rows), states[rows], rhs[rows])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        # the monotone row alone solves
+        assert np.all(np.isfinite(solve_adjoint(op, nonlin.rows([0]), states[:1], rhs[:1])))
+
+    def test_non_finite_linearization_item_keeps_its_label(self):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        nonlin = ClosedForm(0.2, 0.2, kind="exponential")
+        states = np.zeros((2, 2) + g.shape)
+        states[1, :, 3, 3] = 400.0
+        rhs = np.stack([random_control(g, np.random.default_rng(s)) for s in (9, 10)])
+        for items in ([1], [0, 1]):
+            with pytest.raises(NumericalError, match="non-finite linearization"):
+                solve_adjoint(op, nonlin, states[items], rhs[items])
+        # an item with zero right-hand side is not linearized
+        rhs[1] = 0.0
+        q = solve_adjoint(op, nonlin, states, rhs)
+        assert np.all(q[1] == 0.0)
 
 
 class TestWellposednessProbes:

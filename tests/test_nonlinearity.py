@@ -191,6 +191,57 @@ class TestPowerTables:
         assert len(table) == 1 and float(table[0]) == 1.0
 
 
+class TestStackedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           sizes=st.tuples(st.integers(0, 21), st.integers(0, 21)))
+    def test_two_row_combo_equals_its_rows(self, degree, seed, sizes):
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(degree)
+        basis.order = rng.permutation(basis.size)
+        rows = [rng.uniform(-1.0, 1.0, min(k, basis.size)) for k in sizes]
+        for r in rows:
+            r[rng.random(r.size) < 0.4] = 0.0
+        stacked = np.zeros((2, max(r.size for r in rows)))
+        for b, r in enumerate(rows):
+            stacked[b, :r.size] = r
+        pair = BasisCombo(0.3, 0.2, basis=basis, coeffs=stacked)
+        y1, y2 = rng.uniform(-2.0, 2.0, (2, 2, 4, 5))
+        G, dG = pair.G(y1, y2), pair.dG(y1, y2)
+        for b, r in enumerate(rows):
+            alone = BasisCombo(0.3, 0.2, basis=basis, coeffs=r)
+            assert np.array_equal(G[b], alone.G(y1[b], y2[b]))
+            for got, ref in zip(dG, alone.dG(y1[b], y2[b])):
+                assert np.array_equal(got[b], ref)
+            assert pair.rows([b]).coeffs.shape == (1, stacked.shape[1])
+
+    def test_lifted_term_keeps_leading_axes(self):
+        rng = np.random.default_rng(5)
+        combo = BasisCombo(0.3, 0.2, basis=MonomialBasis(2),
+                           coeffs=rng.uniform(0, 1, (3, 6)))
+        fields = rng.uniform(-1.0, 1.0, (3, 2, 4, 4))
+        out = combo.g(fields)
+        assert out.shape == fields.shape
+        for b in range(3):
+            assert np.array_equal(out[b], combo.rows([b]).g(fields[b:b + 1])[0])
+        single = ClosedForm(0.2, 0.2, kind="bilinear")
+        assert single.rows([1]) is single
+        assert np.array_equal(single.g(fields)[2], single.g(fields[2]))
+
+    def test_overflow_in_a_stack_reports_its_node(self):
+        g = ClosedForm(0.2, 0.2, kind="exponential")
+        fields = np.zeros((2, 2, 3, 3))
+        fields[1, :, 1, 2] = 500.0
+        with pytest.raises(NumericalError, match=r"component 0, node \(1, 2\)"):
+            g.g(fields)
+
+    def test_row_stack_must_fit_the_basis(self):
+        with pytest.raises(ValueError):
+            BasisCombo(0.2, 0.2, basis=MonomialBasis(1), coeffs=np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            BasisCombo(0.2, 0.2, basis=MonomialBasis(1), coeffs=np.zeros((2, 2, 2)))
+
+
 class TestPermutationSafety:
     def test_eval_invariant_under_consistent_reordering(self):
         rng = np.random.default_rng(4)

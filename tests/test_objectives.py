@@ -119,6 +119,22 @@ class TestFittingObjective:
         assert np.allclose(reg - bare, nu * beta, rtol=1e-10, atol=1e-14)
 
 
+    @pytest.mark.parametrize("weight", [0.5, 1.0])
+    def test_stacked_controls_equal_sum_of_single_controls(self, ctx, weight):
+        rng = np.random.default_rng(16)
+        controls = [random_control(ctx.grid, rng) for _ in range(4)]
+        targets = [ctx.solve(ctx.combo(rng.uniform(0.0, 0.3, 6)), eps) for eps in controls]
+        beta = rng.uniform(0.05, 0.5, 6)
+        value, grad = FittingObjective(ctx, controls, targets, 0.0, weight)(beta)
+        singles = [FittingObjective(ctx, [eps], [t], 0.0, weight)(beta)
+                   for eps, t in zip(controls, targets)]
+        total = sum(s.value for s in singles)
+        assert abs(value - total) <= 1e-13 * total
+        grad_sum = sum(s.grad for s in singles)
+        grad_scale = sum(np.abs(s.grad) for s in singles)
+        assert np.all(np.abs(grad - grad_sum) <= 1e-13 * grad_scale)
+
+
 class TestDiscriminationObjective:
     def test_zero_control_zero_value(self, ctx):
         # candidate without forcing at the origin keeps both states at zero
@@ -128,6 +144,17 @@ class TestDiscriminationObjective:
         value, grad = obj(x)
         assert value == 0.0
         assert np.all(grad == 0.0)
+
+    def test_stacked_pair_equals_separate_solves(self, ctx):
+        # surrogate and candidate are solved as one stack of two; each state
+        # is bit-identical to its own solve
+        rng = np.random.default_rng(17)
+        beta = rng.uniform(0.0, 0.3, 3)
+        obj = DiscriminationObjective(ctx, beta, 4, nu=0.0)
+        x = rng.uniform(-1, 1, 2 * (ctx.grid.n - 1) ** 2)
+        eps = vec_to_control(ctx.grid, x)
+        diff = ctx.solve(ctx.combo(beta), eps) - ctx.solve(ctx.unit(4), eps)
+        assert obj(x, False).value == 0.5 * ctx.grid.h**2 * float(np.sum(diff * diff))
 
     def test_nonnegative_without_regularizer(self, ctx):
         rng = np.random.default_rng(6)
