@@ -42,8 +42,7 @@ def main():
     truth = ClosedForm(0.2, 0.2, kind="bilinear")
     data = generate_data(truth, run.controls, ctx)
     alpha, value, _ = identify(run.controls, data, ctx,
-                               OptimConfig(grad_tol=1e-12, max_iters=2000,
-                                           restarts=1),
+                               OptimConfig(grad_tol=1e-12, max_iters=2000),
                                alpha_max=cfg.alpha_max, seed=cfg.seed)
     print(f"  final objective {value:.3e}")
     print("  identified coefficients:")

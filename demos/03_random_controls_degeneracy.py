@@ -40,8 +40,7 @@ def main():
     data = generate_data(truth, controls, ctx)
 
     alpha, value, _ = identify(controls, data, ctx,
-                               OptimConfig(grad_tol=1e-12, max_iters=3000,
-                                           restarts=1),
+                               OptimConfig(grad_tol=1e-12, max_iters=3000),
                                alpha_max=1.0, seed=0)
     states = ctx.solve(ctx.combo(alpha), np.stack(controls))
     sets, square = solution_sets(states)

@@ -33,8 +33,7 @@ def reconstruct(degree):
     truth = ClosedForm(0.2, 0.2, kind="exponential")
     data = generate_data(truth, run.controls, ctx)
     alpha, value, _ = identify(run.controls, data, ctx,
-                               OptimConfig(grad_tol=1e-12, max_iters=2000,
-                                           restarts=1),
+                               OptimConfig(grad_tol=1e-12, max_iters=2000),
                                alpha_max=1.0, seed=0)
     return ctx, alpha, value
 

@@ -40,7 +40,7 @@ def hessian_at_minimum(ctx, controls):
     truth = ClosedForm(0.2, 0.2, kind="bilinear")
     data = generate_data(truth, controls, ctx)
     alpha, _, _ = identify(controls, data, ctx,
-                           OptimConfig(grad_tol=1e-12, max_iters=2000, restarts=1),
+                           OptimConfig(grad_tol=1e-12, max_iters=2000),
                            alpha_max=1.0, seed=0)
     pair = (ctx.basis.position_of((2, 0)), ctx.basis.position_of((1, 1)))
     return slice_hessian(controls, data, ctx, alpha, pair, step=1e-3)

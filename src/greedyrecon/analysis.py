@@ -61,7 +61,8 @@ def generate_data(truth: Nonlinearity, controls, ctx: SolverContext):
 
 def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
              alpha_max: float, seed: int = 0, k: int | None = None):
-    """Fit coefficients to the observations from a zero start plus restarts.
+    """Fit coefficients to the observations from two starts: zero and one
+    uniform draw from the box on the identification stream of ``seed``.
 
     ``k`` optionally restricts the search to the first k basis positions
     (remaining coefficients pinned at zero).  Returns (coefficients, final
@@ -75,8 +76,8 @@ def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
     if k is not None:
         hi[k:] = 0.0
     obj = IdentificationObjective(ctx, controls, data)
-    rng = stage_rng(seed, STAGE_IDENTIFY, 0, 0)
-    res = multistart_minimize(obj, [np.zeros(size)], lo, hi, optim, rng)
+    random_start = stage_rng(seed, STAGE_IDENTIFY, 0, 0).uniform(lo, hi)
+    res = multistart_minimize(obj, [np.zeros(size), random_start], lo, hi, optim)
     return res.x, res.value, res
 
 

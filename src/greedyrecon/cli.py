@@ -77,14 +77,17 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
     by_index: dict[int, np.ndarray] = {}
     rows: dict[int, int] = {}
     for line in path.read_text().strip().split("\n")[1:]:
-        m, comp, i, j, value = line.split(",")
-        m, node = int(m), (int(comp), int(i), int(j))
+        try:
+            m, comp, i, j, value = line.split(",")
+            m, node, value = int(m), (int(comp), int(i), int(j)), float(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row {line!r}") from exc
         if min(node) < 0 or node[0] > 1 or max(node[1:]) > grid.n:
             raise ConfigError(f"{path}: node {node} lies outside the n={grid.n} grid")
         field = by_index.get(m)
         if field is None:
             field = by_index[m] = np.zeros((2,) + grid.shape)
-        field[node] = float(value)
+        field[node] = value
         rows[m] = rows.get(m, 0) + 1
     if any(count != 2 * (grid.n + 1) ** 2 for count in rows.values()):
         raise ConfigError(f"{path}: a control does not cover the n={grid.n} grid")
@@ -94,10 +97,18 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
 def _load_artifact(out: Path):
     cfg = ExperimentConfig.load(out / "config.json")
     ctx = build_context(cfg)
-    basis_doc = json.loads((out / "basis.json").read_text())
-    if basis_doc["degree"] != cfg.degree:
-        raise ConfigError("artifact basis degree disagrees with config")
-    ctx.basis.order = np.asarray(basis_doc["order"], dtype=int)
+    path, size = out / "basis.json", ctx.basis.size
+    try:
+        doc = json.loads(path.read_text())
+        degree, order = doc["degree"], doc["order"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{path}: malformed basis ({exc!r})") from exc
+    if degree != cfg.degree:
+        raise ConfigError(f"{path}: basis degree disagrees with config")
+    if not (isinstance(order, list) and len(order) == size
+            and all(j in order for j in range(size))):
+        raise ConfigError(f"{path}: order is not a permutation of range({size})")
+    ctx.basis.order = np.asarray(order, dtype=int)
     controls = read_controls(out / "controls.csv", ctx.grid)
     if not controls:
         raise ConfigError(f"{out / 'controls.csv'} holds no control")

@@ -4,10 +4,12 @@ Schema (config_version 1): top-level keys are the fields of
 ExperimentConfig; ``optim_coeff`` and ``optim_control`` are nested objects
 with the fields of OptimConfig.  Unknown keys and wrongly typed values are
 rejected on load, and every constraint of the owning types is re-validated.
-Older files carry retired keys, which are dropped: six optimizer keys
-(``RETIRED_OPTIM_KEYS``) load only at the values that selected L-BFGS-B,
-and the size of the removed candidate thread pool (``RETIRED_POOL_KEY``)
-at any integer >= 1, since every such value gave the same artifacts.
+Older files carry retired keys, which are dropped: seven optimizer keys
+(``RETIRED_OPTIM_KEYS``) and ``regularizer_sign`` (``RETIRED_KEYS``) load
+only at the one value each still means, and the size of the removed
+candidate thread pool (``RETIRED_POOL_KEY``) at any integer >= 1, since
+every such value gave the same artifacts.  A retired key is type-checked
+like a live one before its value is compared.
 Defaults follow the reference experiment: unit half-width, bounds
 (-1,-1)..(1,1), couplings gamma1 = gamma2 = 0.2, no relaxation, stopping
 tolerance at double precision epsilon.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forward import FixedPointConfig
-from .greedy import DEFAULT_OPTIM_COEFF, DEFAULT_OPTIM_CONTROL, GreedyConfig
+from .greedy import DEFAULT_OPTIM_CONTROL, GreedyConfig
 from .grid import Grid, NegLaplacian
 from .nonlinearity import ClosedForm, MonomialBasis
 from .objectives import ControlBox, SolverContext
@@ -33,10 +35,13 @@ from .optimize import OptimConfig
 CONFIG_VERSION = 1
 
 
-# optimizer keys that older files carry, with the only values they may hold:
-# the ones that selected the L-BFGS-B engine that remains
+# keys that older files carry, with the only values they may hold: the
+# optimizer keys that selected the L-BFGS-B engine that remains and the one
+# random start per subproblem, and the sign that penalizes control energy
 RETIRED_OPTIM_KEYS = {"step_init": 1.0, "armijo_c": 1e-4, "shrink": 0.5,
-                      "memory": 10, "seed": 0, "max_backtracks": 50}
+                      "memory": 10, "seed": 0, "max_backtracks": 50,
+                      "restarts": 1}
+RETIRED_KEYS = {"regularizer_sign": 1}
 RETIRED_POOL_KEY = "threads"
 
 
@@ -59,13 +64,22 @@ def _check_type(key: str, value, like) -> None:
         raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
+def _drop_retired(data: dict, retired: dict, prefix: str = "") -> None:
+    """Remove every key of ``retired`` from ``data``; ConfigError naming the
+    key unless its value has the old type and equals the one allowed."""
+    for name, only in retired.items():
+        if name in data:
+            value = data.pop(name)
+            _check_type(prefix + name, value, only)
+            if value != only:
+                raise ConfigError(f"{prefix}{name} is retired and loads only at {only!r}")
+
+
 def _optim_from_dict(key: str, value, default: OptimConfig) -> OptimConfig:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
     value = dict(value)
-    for name, only in RETIRED_OPTIM_KEYS.items():
-        if name in value and value.pop(name) != only:
-            raise ConfigError(f"{key}.{name} is retired and loads only at {only!r}")
+    _drop_retired(value, RETIRED_OPTIM_KEYS, f"{key}.")
     bad = set(value) - {f.name for f in fields(OptimConfig)}
     if bad:
         raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
@@ -93,11 +107,10 @@ class ExperimentConfig:
     tol2: float = 1e-10
     lambda_a: float = 0.0
     ell_max: int = 200
-    regularizer_sign: int = 1
     seed: int = 0
     error_lattice_m: int = 101
     output_dir: str = "runs/out"
-    optim_coeff: OptimConfig = DEFAULT_OPTIM_COEFF
+    optim_coeff: OptimConfig = OptimConfig()
     optim_control: OptimConfig = DEFAULT_OPTIM_CONTROL
 
     def __post_init__(self):
@@ -144,6 +157,7 @@ class ExperimentConfig:
         _check_type(RETIRED_POOL_KEY, pool, 1)
         if pool < 1:
             raise ConfigError(f"{RETIRED_POOL_KEY} is retired and loads only at >= 1")
+        _drop_retired(data, RETIRED_KEYS)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -151,7 +165,7 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in data.items():
             if key == "optim_coeff":
-                kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_COEFF)
+                kwargs[key] = _optim_from_dict(key, value, OptimConfig())
             elif key == "optim_control":
                 kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_CONTROL)
             else:
@@ -169,7 +183,9 @@ class ExperimentConfig:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed config file: {exc}") from exc
+                raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the top level must be a JSON object")
         return cls.from_dict(data)
 
 
@@ -192,7 +208,6 @@ def greedy_config(cfg: ExperimentConfig) -> GreedyConfig:
         tol1=cfg.tol1,
         nu=cfg.nu,
         alpha_max=cfg.alpha_max,
-        reg_sign=cfg.regularizer_sign,
         seed=cfg.seed,
     )
 

@@ -47,19 +47,17 @@ def stage_rng(seed: int, stage: int, iteration: int, candidate: int) -> np.rando
     )
 
 
-DEFAULT_OPTIM_COEFF = OptimConfig(grad_tol=1e-8, restarts=1)
-DEFAULT_OPTIM_CONTROL = OptimConfig(grad_tol=1e-6, max_iters=80, restarts=1)
+DEFAULT_OPTIM_CONTROL = OptimConfig(grad_tol=1e-6, max_iters=80)
 
 
 @dataclass(frozen=True)
 class GreedyConfig:
     box: ControlBox = ControlBox((-1.0, -1.0), (1.0, 1.0))
-    optim_coeff: OptimConfig = DEFAULT_OPTIM_COEFF
+    optim_coeff: OptimConfig = OptimConfig()
     optim_control: OptimConfig = DEFAULT_OPTIM_CONTROL
     tol1: float = float(np.finfo(float).eps)
     nu: float = 1e-6
     alpha_max: float = 1.0
-    reg_sign: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +65,6 @@ class GreedyConfig:
             raise ValueError("tol1 must be positive")
         if self.nu < 0 or self.alpha_max < 0:
             raise ValueError("nu and alpha_max must be nonnegative")
-        if self.reg_sign not in (1, -1):
-            raise ValueError("reg_sign must be +1 or -1")
 
 
 @dataclass
@@ -146,17 +142,14 @@ def control_optim_config(cfg: GreedyConfig, grid) -> OptimConfig:
 
 
 def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
-    obj = DiscriminationObjective(ctx, beta, cand, cfg.nu, cfg.reg_sign)
+    obj = DiscriminationObjective(ctx, beta, cand, cfg.nu)
     lo, hi = cfg.box.flat_bounds(ctx.grid)
-    # restart points are random CONSTANT controls: uniform nodal noise is
+    # the random start is a CONSTANT control: uniform nodal noise is
     # smoothed away by the solve and makes a poor start at fine meshes,
     # while the informative controls are smooth and large-scale
-    starts = list(starts)
-    starts += [control_to_vec(constant_control(ctx.grid, cfg.box.sample_constant(rng)))
-               for _ in range(cfg.optim_control.restarts)]
-    return multistart_maximize(obj, starts, lo, hi,
-                               control_optim_config(cfg, ctx.grid), rng,
-                               n_random=0)
+    random_start = control_to_vec(constant_control(ctx.grid, cfg.box.sample_constant(rng)))
+    return multistart_maximize(obj, [*starts, random_start], lo, hi,
+                               control_optim_config(cfg, ctx.grid))
 
 
 def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
@@ -223,8 +216,8 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
         rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
         targets = fitting_targets(ctx, cand, controls)
         obj = FittingObjective(ctx, controls, targets, cfg.nu)
-        return multistart_minimize(obj, [np.zeros(k)], lo, hi,
-                                   cfg.optim_coeff, rng)
+        return multistart_minimize(obj, [np.zeros(k), rng.uniform(lo, hi)], lo, hi,
+                                   cfg.optim_coeff)
 
     results, errors = _map_candidates(attempt, range(k, size))
     if not results:

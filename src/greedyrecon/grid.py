@@ -173,14 +173,6 @@ class NegLaplacian:
         out[..., 1:-1, 1:-1] = x
         return out
 
-    def norms(self, field: np.ndarray) -> dict[str, float]:
-        """Discrete L2, H1-seminorm and Laplacian norms of a field."""
-        return {
-            "l2": l2_norm(self.grid, field),
-            "h1": h1_norm(self.grid, field),
-            "laplace": l2_norm(self.grid, self.apply(field)),
-        }
-
 
 def l2_norm(grid: Grid, field: np.ndarray) -> float:
     """Lumped discrete L2 norm h * ||values||_2 over all components."""

@@ -228,28 +228,22 @@ class DiscriminationObjective:
     """Control-design objective separating a fitted surrogate from a candidate.
 
     The splitting score, to be maximized (its gradient is
-    q_beta + q_cand - reg_sign*nu*eps in the L2-representer scale):
+    q_beta + q_cand - nu*eps in the L2-representer scale):
 
-        J(eps) = 1/2 ||y^{beta,eps} - y^{cand,eps}||_{L2}^2
-                 - reg_sign * nu/2 ||eps||_{L2}^2
+        J(eps) = 1/2 ||y^{beta,eps} - y^{cand,eps}||_{L2}^2 - nu/2 ||eps||_{L2}^2
 
-    ``reg_sign=+1`` penalizes control energy; ``reg_sign=-1`` rewards it
-    (the alternative convention in which the regularizer joins the
-    maximized discrimination).  The initialization problem is the special
-    case beta = () where the surrogate state is the plain Poisson solve.
-    Surrogate and candidate are the two rows of one stacked combo, so both
-    states, and both adjoints, are solved as one stack of two.
+    so the regularizer penalizes control energy.  The initialization
+    problem is the special case beta = () where the surrogate state is the
+    plain Poisson solve.  Surrogate and candidate are the two rows of one
+    stacked combo, so both states, and both adjoints, are solved as one
+    stack of two.
     """
 
-    def __init__(self, ctx: SolverContext, beta, candidate_pos: int, nu: float,
-                 reg_sign: int = 1):
-        if reg_sign not in (1, -1):
-            raise ValueError("reg_sign must be +1 or -1")
+    def __init__(self, ctx: SolverContext, beta, candidate_pos: int, nu: float):
         self.ctx = ctx
         self.beta = np.asarray(beta, dtype=float)
         self.candidate_pos = int(candidate_pos)
         self.nu = float(nu)
-        self.reg_sign = reg_sign
         rows = np.zeros((2, max(self.beta.size, self.candidate_pos + 1)))
         rows[0, :self.beta.size] = self.beta
         rows[1, self.candidate_pos] = 1.0
@@ -265,11 +259,11 @@ class DiscriminationObjective:
         eps, states = self._states.get(vec, self._solve)
         grid = self.ctx.grid
         diff = states[0] - states[1]
-        value = 0.5 * _misfit_sq(grid, diff) - self.reg_sign * 0.5 * self.nu * _misfit_sq(grid, eps)
+        value = 0.5 * _misfit_sq(grid, diff) - 0.5 * self.nu * _misfit_sq(grid, eps)
         if not need_grad:
             return ObjectiveEval(value, None)
         q = solve_adjoint(self.ctx.op, self.pair, states, np.stack([diff, -diff]))
-        rep = interior(q[0]) - self.reg_sign * self.nu * interior(eps) + interior(q[1])
+        rep = interior(q[0]) - self.nu * interior(eps) + interior(q[1])
         grad = grid.h**2 * rep.reshape(-1)
         return ObjectiveEval(value, grad)
 

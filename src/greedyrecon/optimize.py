@@ -8,8 +8,9 @@ needs.  An oracle reaches scipy unwrapped: an ObjectiveEval is already the
 propagate unchanged; maximization adds one negating adapter.  Every iterate
 stays inside the box and the value sequence is monotone.  Stationarity is
 reported as ``||x - P(x - grad)||_2`` (projected gradient with unit step)
-and ``converged`` means that norm fell to ``grad_tol``.  Everything is
-deterministic for fixed inputs and random stream.
+and ``converged`` means that norm fell to ``grad_tol``.  The multistart
+drivers run exactly the starts their caller hands them, in order, and draw
+nothing themselves, so everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ LBFGS_MEMORY = 10
 class OptimConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8
-    restarts: int = 3
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.restarts < 1:
-            raise ValueError("max_iters, grad_tol and restarts must be positive")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise ValueError("max_iters and grad_tol must be positive")
 
 
 @dataclass
@@ -98,30 +98,19 @@ def _negated(fun):
     return neg
 
 
-def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig,
-                        rng: np.random.Generator,
-                        n_random: int | None = None) -> OptimResult:
-    """Run minimize_box from each explicit start plus random feasible draws
-    from ``rng`` (cfg.restarts unless overridden); the best result wins,
+def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig) -> OptimResult:
+    """Run minimize_box from each start in turn; the best result wins,
     first on ties."""
-    if n_random is None:
-        n_random = cfg.restarts
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    points = [np.asarray(s, dtype=float) for s in starts]
-    points += [rng.uniform(lo, hi) for _ in range(n_random)]
     best = None
-    for p in points:
+    for p in starts:
         res = minimize_box(fun, p, lo, hi, cfg)
         if best is None or res.value < best.value:
             best = res
     return best
 
 
-def multistart_maximize(fun, starts, lo, hi, cfg: OptimConfig,
-                        rng: np.random.Generator,
-                        n_random: int | None = None) -> OptimResult:
+def multistart_maximize(fun, starts, lo, hi, cfg: OptimConfig) -> OptimResult:
     """multistart_minimize on -fun, reported in maximization form."""
-    res = multistart_minimize(_negated(fun), starts, lo, hi, cfg, rng, n_random)
+    res = multistart_minimize(_negated(fun), starts, lo, hi, cfg)
     res.value = -res.value
     return res

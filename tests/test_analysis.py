@@ -60,7 +60,7 @@ class TestIdentify:
         truth = ctx.combo(np.array([0.37]))
         data = generate_data(truth, controls, ctx)
         alpha, value, _ = identify(controls, data, ctx,
-                                   OptimConfig(grad_tol=1e-12, restarts=1),
+                                   OptimConfig(grad_tol=1e-12),
                                    alpha_max=1.0, seed=0)
         obj = IdentificationObjective(ctx, controls, data)
         grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
@@ -73,7 +73,7 @@ class TestIdentify:
         controls = [np.zeros((2,) + ctx.grid.shape)]
         data = [np.zeros((2,) + ctx.grid.shape)]
         alpha, value, _ = identify(controls, data, ctx,
-                                   OptimConfig(grad_tol=1e-10, restarts=1),
+                                   OptimConfig(grad_tol=1e-10),
                                    alpha_max=1.0, seed=0)
         # zero coefficients reproduce the zero data exactly
         obj = IdentificationObjective(ctx, controls, data)
@@ -85,7 +85,7 @@ class TestIdentify:
         controls = [random_control(ctx.grid, rng) for _ in range(2)]
         data = generate_data(ClosedForm(0.2, 0.2, kind="sinusoidal"), controls, ctx)
         alpha, value, _ = identify(controls, data, ctx,
-                                   OptimConfig(grad_tol=1e-10, restarts=1),
+                                   OptimConfig(grad_tol=1e-10),
                                    alpha_max=1.0, seed=1)
         obj = IdentificationObjective(ctx, controls, data)
         assert 0.0 <= value <= obj(np.zeros(6), False).value
@@ -95,7 +95,7 @@ class TestIdentify:
         controls = [random_control(ctx.grid, rng)]
         data = generate_data(ClosedForm(0.2, 0.2, kind="bilinear"), controls, ctx)
         alpha, _, _ = identify(controls, data, ctx,
-                               OptimConfig(grad_tol=1e-10, restarts=1),
+                               OptimConfig(grad_tol=1e-10),
                                alpha_max=1.0, seed=0, k=2)
         assert np.all(alpha[2:] == 0.0)
 

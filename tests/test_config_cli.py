@@ -94,10 +94,24 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.load(path)
         assert cfg == ExperimentConfig()
         for block in ("optim_coeff", "optim_control"):
-            assert set(cfg.to_dict()[block]) == {"max_iters", "grad_tol", "restarts"}
+            assert set(cfg.to_dict()[block]) == {"max_iters", "grad_tol"}
+
+    def test_retired_sign_loads_at_one(self):
+        # a config.json as written while the discrimination sign was a setting
+        cfg = ExperimentConfig.from_dict(
+            dict(ExperimentConfig().to_dict(), regularizer_sign=1))
+        assert cfg == ExperimentConfig()
+        assert "regularizer_sign" not in cfg.to_dict()
+
+    def test_retired_sign_off_value_exit_code(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, regularizer_sign=-1)
+        assert main(["--config", str(cfg), "greedy"]) == 2
+        assert capsys.readouterr().err.startswith("config error: regularizer_sign ")
+        assert not (tmp_path / "art").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("memory", 0), ("memory", 5), ("step_init", 2.0)])
+        ("memory", 0), ("memory", 5), ("step_init", 2.0), ("restarts", 3),
+        ("restarts", 1.0), ("seed", False), ("memory", 10.0)])
     def test_retired_optimizer_key_off_default_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"optim_control.{key}"):
             ExperimentConfig.from_dict({"optim_control": {key: value}})
@@ -453,3 +467,46 @@ class TestDeterminism:
         main(["--config", str(cfg), "--out", str(art2), "--seed", "2",
               "baseline", "--count", "2"])
         assert (art1 / "controls.csv").read_bytes() != (art2 / "controls.csv").read_bytes()
+
+
+@pytest.fixture
+def design(tmp_path):
+    """A P=2 baseline design at n=8, identified once."""
+    cfg = tiny_config(tmp_path, degree=2)
+    assert main(["--config", str(cfg), "baseline", "--count", "3"]) == 0
+    return tmp_path / "art"
+
+
+class TestMalformedInput:
+    @staticmethod
+    def identify_error(art, capsys):
+        capsys.readouterr()
+        assert main(["--out", str(art), "identify"]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3, 4], [0, 1, 2],
+                                       [0, 1, 2, 3, 4, 6], "012345", None])
+    def test_basis_order_not_a_permutation_exit_code(self, design, capsys, order):
+        path = design / "basis.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), order=order)))
+        assert str(path) in self.identify_error(design, capsys)
+
+    def test_basis_without_degree_exit_code(self, design, capsys):
+        path = design / "basis.json"
+        doc = json.loads(path.read_text())
+        del doc["degree"]
+        path.write_text(json.dumps(doc))
+        assert str(path) in self.identify_error(design, capsys)
+
+    @pytest.mark.parametrize("row", ["1,0,3", "0,0,3,3,abc", "0,x,3,3,0.5"])
+    def test_malformed_controls_row_exit_code(self, design, capsys, row):
+        path = design / "controls.csv"
+        path.write_text(path.read_text() + row + "\n")
+        err = self.identify_error(design, capsys)
+        assert str(path) in err and row in err
+
+    def test_config_top_level_list_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"n": 8}]))
+        assert main(["--config", str(path), "greedy"]) == 2
+        assert str(path) in capsys.readouterr().err

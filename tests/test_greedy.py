@@ -26,8 +26,8 @@ from conftest import make_context
 
 def fast_config(**kw):
     base = dict(
-        optim_control=OptimConfig(grad_tol=1e-6, max_iters=60, restarts=1),
-        optim_coeff=OptimConfig(grad_tol=1e-9, max_iters=300, restarts=1),
+        optim_control=OptimConfig(grad_tol=1e-6, max_iters=60),
+        optim_coeff=OptimConfig(grad_tol=1e-9, max_iters=300),
         seed=0,
     )
     base.update(kw)
@@ -36,7 +36,7 @@ def fast_config(**kw):
 
 def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     """Independent candidate re-optimization with a larger restart budget."""
-    obj = DiscriminationObjective(ctx, beta, cand, cfg.nu, cfg.reg_sign)
+    obj = DiscriminationObjective(ctx, beta, cand, cfg.nu)
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     rng = np.random.default_rng(np.random.SeedSequence([4242, cand]))
     starts = [np.zeros(lo.size)]
@@ -47,7 +47,7 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     ocfg = dataclasses.replace(cfg.optim_control,
                                grad_tol=cfg.optim_control.grad_tol * ctx.grid.h,
                                max_iters=200)
-    return multistart_maximize(obj, starts, lo, hi, ocfg, rng, n_random=0)
+    return multistart_maximize(obj, starts, lo, hi, ocfg)
 
 
 class TestSelectWinner:

@@ -154,12 +154,6 @@ class TestLinearSolve:
 
 
 class TestNorms:
-    def test_zero_field(self):
-        g = Grid(8, 1.0)
-        op = NegLaplacian(g)
-        out = op.norms(np.zeros((2,) + g.shape))
-        assert out == {"l2": 0.0, "h1": 0.0, "laplace": 0.0}
-
     def test_kappa_l2_close_to_one(self):
         # integral of kappa^2 over (-1,1)^2 is exactly 1; the lumped sum
         # is compared against a trapezoid quadrature oracle

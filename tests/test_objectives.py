@@ -171,18 +171,6 @@ class TestDiscriminationObjective:
         idx = rng.choice(x.size, 20, replace=False)
         fd_check(obj, x, idx, step=1e-5, rel_tol=1e-5)
 
-    def test_alternative_regularizer_sign(self, ctx):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(-1, 1, 2 * (ctx.grid.n - 1) ** 2)
-        plus = DiscriminationObjective(ctx, np.zeros(0), 3, nu=1e-3, reg_sign=1)
-        minus = DiscriminationObjective(ctx, np.zeros(0), 3, nu=1e-3, reg_sign=-1)
-        eps = vec_to_control(ctx.grid, x)
-        energy = ctx.grid.h**2 * float(np.sum(eps * eps))
-        assert minus(x, False).value - plus(x, False).value == pytest.approx(
-            1e-3 * energy, rel=1e-12)
-        fd_check(minus, x, rng.choice(x.size, 8, replace=False), step=1e-5,
-                 rel_tol=1e-5)
-
 
 class TestInitializationObjective:
     def test_constant_candidate_misfit_is_control_independent(self, ctx):

@@ -142,8 +142,7 @@ class TestMinimizeBox:
 
 def maximize_from(fun, x0, lo, hi, cfg):
     """Single-start maximization through multistart_maximize's negation."""
-    return multistart_maximize(fun, [x0], lo, hi, cfg, np.random.default_rng(0),
-                               n_random=0)
+    return multistart_maximize(fun, [x0], lo, hi, cfg)
 
 
 class TestMaximizeBox:
@@ -188,9 +187,10 @@ class TestMultistart:
             g = np.array([4 * x[0] ** 3 - 2 * x[0] + 0.1])
             return ObjectiveEval(v, g if need_grad else None)
 
-        res = multistart_minimize(fun, [np.array([1.0])], np.array([-2.0]),
-                                  np.array([2.0]),
-                                  OptimConfig(restarts=8), np.random.default_rng(2))
+        lo, hi = np.array([-2.0]), np.array([2.0])
+        rng = np.random.default_rng(2)
+        starts = [np.array([1.0])] + [rng.uniform(lo, hi) for _ in range(8)]
+        res = multistart_minimize(fun, starts, lo, hi, OptimConfig())
         roots = np.roots([4.0, 0.0, -2.0, 0.1])
         best_root = min((r.real for r in roots if abs(r.imag) < 1e-12),
                         key=lambda r: r**4 - r**2 + 0.1 * r)
@@ -202,11 +202,14 @@ class TestMultistart:
             g = np.array([-3 * np.sin(3 * x[0]) + x[0]])
             return ObjectiveEval(v, g if need_grad else None)
 
-        cfg = OptimConfig(restarts=5)
-        a = multistart_minimize(fun, [np.zeros(1)], np.array([-3.0]),
-                                np.array([3.0]), cfg, np.random.default_rng(7))
-        b = multistart_minimize(fun, [np.zeros(1)], np.array([-3.0]),
-                                np.array([3.0]), cfg, np.random.default_rng(7))
+        lo, hi = np.array([-3.0]), np.array([3.0])
+
+        def seeded_starts():
+            rng = np.random.default_rng(7)
+            return [np.zeros(1)] + [rng.uniform(lo, hi) for _ in range(5)]
+
+        a = multistart_minimize(fun, seeded_starts(), lo, hi, OptimConfig())
+        b = multistart_minimize(fun, seeded_starts(), lo, hi, OptimConfig())
         assert np.array_equal(a.x, b.x)
 
     def test_maximize_variant(self):
@@ -214,7 +217,8 @@ class TestMultistart:
             return ObjectiveEval(-float(x @ x) + 1.0,
                                  -2.0 * x if need_grad else None)
 
-        res = multistart_maximize(fun, [np.array([0.5, 0.5])],
-                                  np.full(2, -1.0), np.full(2, 1.0),
-                                  OptimConfig(restarts=2), np.random.default_rng(3))
+        lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+        rng = np.random.default_rng(3)
+        starts = [np.array([0.5, 0.5])] + [rng.uniform(lo, hi) for _ in range(2)]
+        res = multistart_maximize(fun, starts, lo, hi, OptimConfig())
         assert res.value == pytest.approx(1.0, abs=1e-10)
