@@ -1,6 +1,15 @@
 """Greedy optimal-input design and identification of unknown nonlinearities
 in coupled two-component semilinear elliptic systems."""
 
+import os as _os
+
+# One BLAS thread unless the caller sets another count: the solvers work on
+# arrays of at most a few hundred kilobytes, where a second OpenBLAS thread
+# spins without shortening wall time.  The pool is sized when numpy is first
+# imported, so this has no effect in a process that imported numpy before.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .exceptions import GreedyFailure, NumericalError
 from .forward import FixedPointConfig, SolveReport, solve_adjoint, solve_semilinear
 from .greedy import GreedyConfig, GreedyRun, run_greedy

@@ -115,16 +115,35 @@ def _load_artifact(out: Path):
     return cfg, ctx, controls
 
 
-def read_identified(out: Path):
+def read_identified(out: Path, basis):
     """What identify stored: the coefficients by basis position and the truth
     they were fitted against, which may be an ``identify --truth`` override
-    of the configured one; (None, None) before identify ran."""
+    of the configured one; (None, None) before identify ran.  ConfigError
+    unless identified.csv holds one row per position of ``basis``, in order."""
     path = out / "identified.csv"
     if not path.exists():
         return None, None
-    rows = path.read_text().strip().split("\n")[1:]
-    kind = json.loads((out / "identify.json").read_text())["truth"]
-    return np.array([float(r.split(",")[3]) for r in rows]), kind
+    exponents = basis.ordered_exponents()
+    alpha = []
+    for line in path.read_text().strip().split("\n")[1:]:
+        try:
+            position, i1, i2, value = line.split(",")
+            position, exp, value = int(position), (int(i1), int(i2)), float(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row {line!r}") from exc
+        if (position != len(alpha) or position >= len(exponents)
+                or exponents[position] != exp):
+            raise ConfigError(f"{path}: row {line!r} does not follow basis.json")
+        alpha.append(value)
+    if len(alpha) != len(exponents):
+        raise ConfigError(f"{path}: {len(alpha)} coefficients for a basis of "
+                          f"{len(exponents)}")
+    info = out / "identify.json"
+    try:
+        kind = json.loads(info.read_text())["truth"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{info}: malformed ({exc!r})") from exc
+    return np.array(alpha), kind
 
 
 # every file a command writes into an artifact directory besides the design
@@ -288,7 +307,7 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float,
     cfg, ctx, controls = _load_artifact(out)
     hi = cfg.alpha_max if hi is None else hi
     # scan the objective identify minimized: its truth and its coefficients
-    alpha_base, kind = read_identified(out)
+    alpha_base, kind = read_identified(out, ctx.basis)
     truth = truth_nonlinearity(cfg, truth_override or kind or cfg.truth)
     data = analysis.generate_data(truth, controls, ctx)
     idx = _resolve_pair(ctx, pair)
@@ -307,7 +326,7 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float,
 
 def cmd_taylor(out: Path) -> int:
     _, ctx, _ = _load_artifact(out)
-    alpha, kind = read_identified(out)
+    alpha, kind = read_identified(out, ctx.basis)
     if alpha is None:
         raise ConfigError("artifact has no identified coefficients; run identify")
     write_taylor(out, kind, alpha, ctx.basis)

@@ -505,6 +505,28 @@ class TestMalformedInput:
         err = self.identify_error(design, capsys)
         assert str(path) in err and row in err
 
+    @pytest.mark.parametrize("command", [["taylor"], ["landscape", "--points", "2"]],
+                             ids=["taylor", "landscape"])
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows + ["6,0,0,abc"],
+        lambda rows: rows[:-1],
+        lambda rows: rows[:1] + rows[2:] + rows[1:2],
+        lambda rows: rows[:-1] + ["5,2,2,0.5"],
+    ], ids=["non-numeric", "missing-row", "reordered", "foreign-monomial"])
+    def test_malformed_identified_exit_code(self, design, capsys, command, edit):
+        path = design / "identified.csv"
+        path.write_text("\n".join(edit(path.read_text().strip().split("\n"))) + "\n")
+        capsys.readouterr()
+        assert main(["--out", str(design)] + command) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_identify_record_without_truth_exit_code(self, design, capsys):
+        path = design / "identify.json"
+        path.write_text(json.dumps({"objective_value": 0.0}))
+        capsys.readouterr()
+        assert main(["--out", str(design), "taylor"]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_config_top_level_list_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps([{"n": 8}]))

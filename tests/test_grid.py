@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+import scipy.fft as fft
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greedyrecon import (
     Grid,
     NegLaplacian,
     NumericalError,
+    grid as grid_module,
     h1_norm,
     inner_l2,
     l2_norm,
     laplace_norm,
 )
+from greedyrecon.grid import DENSE_SINE_MAX_N
 
 from conftest import kappa
 
@@ -118,8 +121,9 @@ class TestLinearSolve:
         with pytest.raises(ValueError):
             op.solve(np.zeros((5, 5)))
 
-    def test_non_finite_rhs_rejected(self):
-        g = Grid(8, 1.0)
+    @pytest.mark.parametrize("n", [8, DENSE_SINE_MAX_N + 8])
+    def test_non_finite_rhs_rejected(self, n):
+        g = Grid(n, 1.0)
         rhs = np.zeros(g.shape)
         rhs[3, 4] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
@@ -128,6 +132,7 @@ class TestLinearSolve:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), x_max=st.floats(0.25, 4.0),
            seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    @example(n=DENSE_SINE_MAX_N + 8, x_max=1.5, seed=3, pair=True)  # scipy.fft side
     def test_sine_transform_solve_matches_sparse_direct(self, n, x_max, seed, pair):
         g = Grid(n, x_max)
         op = NegLaplacian(g)
@@ -140,6 +145,28 @@ class TestLinearSolve:
             got = (u[k] if pair else u)[1:-1, 1:-1].reshape(-1)
             ref = spla.spsolve(op.matrix.tocsc(), b)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 130), x_max=st.floats(0.25, 4.0),
+           seed=st.integers(0, 2**32 - 1), stack=st.sampled_from([(), (2,), (3, 2)]))
+    def test_dense_sine_products_match_fft(self, n, x_max, seed, stack):
+        # the dense path is forced at every n, so the crossover can move
+        # without leaving a mesh size untested
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "DENSE_SINE_MAX_N", 130)
+            op = NegLaplacian(Grid(n, x_max))
+        b = np.random.default_rng(seed).standard_normal(stack + (n - 1, n - 1))
+        axes = (-2, -1)
+        ref = fft.idstn(fft.dstn(b, type=1, axes=axes) / op.eigenvalues,
+                        type=1, axes=axes)
+        got = op.inverse_interior(b)
+        assert got.shape == b.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_dense_products_only_up_to_crossover(self):
+        assert DENSE_SINE_MAX_N < 128  # forward-fine's meshes stay on scipy.fft
+        assert NegLaplacian(Grid(DENSE_SINE_MAX_N, 1.0))._sine is not None
+        assert NegLaplacian(Grid(DENSE_SINE_MAX_N + 1, 1.0))._sine is None
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
