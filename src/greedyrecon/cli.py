@@ -37,6 +37,7 @@ from .config import ConfigError, ExperimentConfig, build_context, greedy_config,
 from .exceptions import GreedyFailure, NumericalError
 from .greedy import run_greedy
 from .grid import Grid
+from .nonlinearity import CLOSED_FORM_KINDS
 from .objectives import constant_control
 
 EXIT_OK = 0
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("greedy")
     p = sub.add_parser("identify")
-    p.add_argument("--truth", choices=["bilinear", "sinusoidal", "exponential"])
+    p.add_argument("--truth", choices=CLOSED_FORM_KINDS)
     p = sub.add_parser("baseline")
     p.add_argument("--count", type=int, default=19)
     p.add_argument("--mode", choices=["diagonal", "independent"],
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--truth", choices=["bilinear", "sinusoidal", "exponential"])
+    p.add_argument("--truth", choices=CLOSED_FORM_KINDS)
     sub.add_parser("taylor")
     p = sub.add_parser("stability-probe")
     p.add_argument("--k", type=int, default=3)

@@ -186,7 +186,7 @@ def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
 
     Returns (control, progress record)."""
     betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
-    zero_start = np.zeros(2 * (ctx.grid.n - 1) ** 2)
+    zero_start = control_to_vec(ctx.grid.zero_field())
     return _discrimination_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero_start])
 
 
@@ -230,7 +230,7 @@ def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
     """Find the next control and candidate; swap the winner to position k.
 
     Returns (control, progress record)."""
-    starts = [np.zeros(2 * (ctx.grid.n - 1) ** 2)]
+    starts = [control_to_vec(ctx.grid.zero_field())]
     if prev_control is not None:
         starts.append(control_to_vec(prev_control))
     return _discrimination_stage(ctx, cfg, STAGE_SPLIT, k, betas, starts)

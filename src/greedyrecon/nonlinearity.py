@@ -137,7 +137,10 @@ class BasisCombo(Nonlinearity):
     """G(y) = sum_j coeffs[j] * monomial at position j of the basis order.
 
     A (B, K) coefficient array stacks B combos, one per item of a stack:
-    row b acts on inputs whose leading index is b.
+    row b acts on inputs whose leading index is b.  The terms of G and of
+    both partials are fixed when the combo is built, in the basis order of
+    that moment (a later ``basis.swap`` does not change a live combo), and
+    one loop sums them.
     """
 
     basis: MonomialBasis = None
@@ -149,52 +152,42 @@ class BasisCombo(Nonlinearity):
         if c.ndim not in (1, 2) or c.shape[-1] > self.basis.size:
             raise ValueError("coefficient vector does not fit the basis")
         object.__setattr__(self, "coeffs", c)
+        # (coefficient, i1, i2) terms of G, dG/dy1 and dG/dy2; c.T[j] is
+        # coefficient j, or its column over stacked rows
+        used = np.flatnonzero(np.any(np.atleast_2d(c) != 0.0, axis=0))
+        terms = [(c.T[j], *self.basis.exponent(j)) for j in used]
+        object.__setattr__(self, "_tables", (
+            terms,
+            [(a * i1, i1 - 1, i2) for a, i1, i2 in terms if i1 > 0],
+            [(a * i2, i1, i2 - 1) for a, i1, i2 in terms if i2 > 0]))
+        object.__setattr__(self, "_degrees", tuple(
+            max((t[k] for t in terms), default=0) for k in (1, 2)))
 
     def rows(self, index) -> "BasisCombo":
+        # a new combo, so its terms follow the basis order of now
         if self.coeffs.ndim == 1:
             return self
         return replace(self, coeffs=self.coeffs[index])
 
-    def _terms(self, ndim: int):
-        """Nonzero (coefficient, exponent pair) terms in the current order.
-
-        Stacked rows give each coefficient as a column shaped to broadcast
-        over ``ndim``-dimensional inputs; a row's zero entries add exact
-        zeros, so each row evaluates as its own combo would.
-        """
-        c = self.coeffs
-        if c.ndim == 1:
-            return [(c[j], self.basis.exponent(j)) for j in np.flatnonzero(c)]
-        shape = (len(c),) + (1,) * (ndim - 1)
-        return [(c[:, j].reshape(shape), self.basis.exponent(j))
-                for j in np.flatnonzero(np.any(c != 0.0, axis=0))]
-
-    def _power_tables(self, terms, y1, y2):
-        """Power tables of y1 and y2 up to the largest exponents in ``terms``."""
-        return (powers(y1, max((e[0] for _, e in terms), default=0)),
-                powers(y2, max((e[1] for _, e in terms), default=0)))
+    def _sums(self, tables, y1, y2) -> list:
+        """Each term table summed over one pair of power tables; a row's zero
+        entries add exact zeros, so each row sums as its own combo would."""
+        shape = np.broadcast(y1, y2).shape
+        p1, p2 = powers(y1, self._degrees[0]), powers(y2, self._degrees[1])
+        column = (-1,) + (1,) * (len(shape) - 1) if self.coeffs.ndim == 2 else None
+        sums = [np.zeros(shape) for _ in tables]
+        for total, table in zip(sums, tables):
+            for a, i1, i2 in table:
+                if column:
+                    a = a.reshape(column)
+                total += a * p1[i1] * p2[i2]
+        return sums
 
     def G(self, y1, y2):
-        shape = np.broadcast(y1, y2).shape
-        terms = self._terms(len(shape))
-        p1, p2 = self._power_tables(terms, y1, y2)
-        total = np.zeros(shape)
-        for c, (i1, i2) in terms:
-            total += c * p1[i1] * p2[i2]
-        return total
+        return self._sums(self._tables[:1], y1, y2)[0]
 
     def dG(self, y1, y2):
-        shape = np.broadcast(y1, y2).shape
-        terms = self._terms(len(shape))
-        p1, p2 = self._power_tables(terms, y1, y2)
-        d1 = np.zeros(shape)
-        d2 = np.zeros_like(d1)
-        for c, (i1, i2) in terms:
-            if i1 > 0:
-                d1 += c * i1 * p1[i1 - 1] * p2[i2]
-            if i2 > 0:
-                d2 += c * i2 * p1[i1] * p2[i2 - 1]
-        return d1, d2
+        return tuple(self._sums(self._tables[1:], y1, y2))
 
 
 def powers(y, degree: int) -> list:

@@ -206,11 +206,12 @@ class FittingObjective:
         self._states = _LastPoint()
 
     def _solve(self, beta: np.ndarray):
-        return self.ctx.solve(self.ctx.combo(beta), self.controls)
+        combo = self.ctx.combo(beta)
+        return combo, self.ctx.solve(combo, self.controls)
 
     def __call__(self, beta: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
         beta = np.asarray(beta, dtype=float)
-        states = self._states.get(beta, self._solve)
+        combo, states = self._states.get(beta, self._solve)
         grid = self.ctx.grid
         diff = states - self.targets
         value = 0.5 * self.nu * float(np.dot(beta, beta))
@@ -218,8 +219,7 @@ class FittingObjective:
             value += self.weight * _misfit_sq(grid, d)
         if not need_grad:
             return ObjectiveEval(value, None)
-        nonlin = self.ctx.combo(beta)
-        adjoints = solve_adjoint(self.ctx.op, nonlin, states, (-2.0 * self.weight) * diff)
+        adjoints = solve_adjoint(self.ctx.op, combo, states, (-2.0 * self.weight) * diff)
         grad = self.nu * beta + _coeff_misfit_grad(self.ctx, states, adjoints, beta.size)
         return ObjectiveEval(value, grad)
 

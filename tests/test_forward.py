@@ -219,7 +219,17 @@ class TestReducedFixedPoint:
         op = NegLaplacian(g)
         cfg = FixedPointConfig(lambda_a=lam)
         eps = random_control(g, np.random.default_rng(seed))
-        ref, ref_iterations, ref_converged = coupled_fixed_point(op, nonlin, eps, cfg)
+        # a draw outside the monotone class can diverge; then both must fail
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref, ref_iterations, ref_converged = coupled_fixed_point(op, nonlin, eps, cfg)
+            diverged = not np.isfinite(ref).all()
+        except NumericalError:
+            diverged = True
+        if diverged:
+            with pytest.raises(NumericalError):
+                solve_semilinear(op, nonlin, eps, cfg)
+            return
         y, report = solve_semilinear(op, nonlin, eps, cfg)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
         assert report.iterations == ref_iterations

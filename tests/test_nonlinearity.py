@@ -263,6 +263,35 @@ class TestPermutationSafety:
                 assert reordered.G(p[0], p[1]) == pytest.approx(r, rel=1e-14, abs=floor)
 
 
+class TestTermsFixedAtBuild:
+    def test_swap_after_build_leaves_a_live_combo_unchanged(self):
+        rng = np.random.default_rng(8)
+        basis = MonomialBasis(3)
+        coeffs = rng.uniform(-1.0, 1.0, basis.size)
+        rows = np.stack([coeffs, coeffs[::-1]])
+        y1, y2 = rng.uniform(-2.0, 2.0, (2, 2, 4, 5))
+
+        def evaluate(combo):
+            return [combo.G(y1, y2), *combo.dG(y1, y2)]
+
+        combos = [BasisCombo(0.3, 0.2, basis=basis, coeffs=c) for c in (coeffs, rows)]
+        before = [evaluate(c) for c in combos]
+        basis.swap(1, 7)
+        basis.swap(0, 4)
+        for combo, ref in zip(combos, before):
+            for got, want in zip(evaluate(combo), ref):
+                assert np.array_equal(got, want)
+        # a combo built after the swaps follows the new order
+        fresh = MonomialBasis(3)
+        fresh.order = basis.order.copy()
+        for c, ref in zip((coeffs, rows), before):
+            after = evaluate(BasisCombo(0.3, 0.2, basis=basis, coeffs=c))
+            same_order = evaluate(BasisCombo(0.3, 0.2, basis=fresh, coeffs=c))
+            for got, want, old in zip(after, same_order, ref):
+                assert np.array_equal(got, want)
+                assert not np.array_equal(got, old)
+
+
 class TestTaylor:
     def test_bilinear_table(self):
         table = taylor_coeffs("bilinear", 2)
