@@ -10,9 +10,12 @@ the fitted surrogate from its candidate).  The winning candidate is swapped
 into the next position.  The loop stops when the winner's unregularized
 discrimination value f_max falls to tol1 or the basis is exhausted.
 
-Per-candidate subproblems are independent and run in turn; each draws from
-its own seeded stream keyed by (stage, iteration, candidate position), so a
-result does not depend on which other candidates are solved.
+Per-candidate subproblems are independent, and each draws from its own
+seeded stream keyed by (stage, iteration, candidate position), so a result
+does not depend on which other candidates are solved.  The fits of a sweep
+run in turn.  The discrimination runs of a stage, one per (candidate,
+start), advance in lockstep, and each round evaluates every run that asks
+as one stacked solve; a run's path is the one it takes alone.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .objectives import (
     SolverContext,
     constant_control,
     control_to_vec,
+    discriminate,
     vec_to_control,
 )
 from .optimize import OptimConfig, multistart_maximize, multistart_minimize
@@ -96,21 +100,6 @@ class GreedyRun:
         return [rec["f_max"] for rec in self.progress]
 
 
-def _map_candidates(fn, candidates):
-    """Run ``fn`` on every candidate; returns ({cand: result}, {cand: message}).
-
-    A candidate whose subproblem raises NumericalError is left out of the
-    results and keeps the error message instead.
-    """
-    results, errors = {}, {}
-    for cand in candidates:
-        try:
-            results[cand] = fn(cand)
-        except NumericalError as exc:
-            errors[cand] = str(exc)
-    return results, errors
-
-
 def _all_failed(what: str, errors: dict) -> GreedyFailure:
     cand, message = min(errors.items())
     return GreedyFailure(f"every {what} failed (candidate {cand}: {message})")
@@ -141,31 +130,36 @@ def control_optim_config(cfg: GreedyConfig, grid) -> OptimConfig:
     return replace(cfg.optim_control, grad_tol=cfg.optim_control.grad_tol * grid.h)
 
 
-def _optimize_discrimination(ctx, beta, cand, cfg, starts, rng):
-    obj = DiscriminationObjective(ctx, beta, cand, cfg.nu)
-    lo, hi = cfg.box.flat_bounds(ctx.grid)
-    # the random start is a CONSTANT control: uniform nodal noise is
-    # smoothed away by the solve and makes a poor start at fine meshes,
-    # while the informative controls are smooth and large-scale
-    random_start = control_to_vec(constant_control(ctx.grid, cfg.box.sample_constant(rng)))
-    return multistart_maximize(obj, [*starts, random_start], lo, hi,
-                               control_optim_config(cfg, ctx.grid))
-
-
 def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
                           k: int, betas: dict, starts):
     """Optimize a control for every candidate in ``betas`` against its fitted
     surrogate, then swap the winner to position k.
 
-    Returns (control, progress record)."""
+    Every candidate runs from ``starts`` and one random constant control
+    drawn from its own stream; all runs of the stage advance in lockstep.
+    Returns (control, progress record).  The record's ``stats`` hold the
+    stage's rounds and evaluations, and the iterations, evaluations and
+    convergence of each candidate's winning start."""
     name = "initialization" if stage == STAGE_INIT else "splitting"
-
-    def attempt(cand):
-        rng = stage_rng(cfg.seed, stage, k, cand)
-        return _optimize_discrimination(ctx, betas[cand], cand, cfg, starts, rng)
-
     candidates = sorted(betas)
-    results, errors = _map_candidates(attempt, candidates)
+    objectives = [DiscriminationObjective(ctx, betas[c], c, cfg.nu) for c in candidates]
+    # the random start is a CONSTANT control: uniform nodal noise is
+    # smoothed away by the solve and makes a poor start at fine meshes,
+    # while the informative controls are smooth and large-scale
+    run_starts = [
+        [*starts, control_to_vec(constant_control(
+            ctx.grid, cfg.box.sample_constant(stage_rng(cfg.seed, stage, k, c))))]
+        for c in candidates]
+    lo, hi = cfg.box.flat_bounds(ctx.grid)
+
+    def evaluate(problems, vecs):
+        return discriminate([objectives[p] for p in problems], vecs)
+
+    runs = multistart_maximize(evaluate, run_starts, lo, hi,
+                               control_optim_config(cfg, ctx.grid))
+    outcomes = dict(zip(candidates, runs.outcomes))
+    errors = {c: str(r) for c, r in outcomes.items() if isinstance(r, NumericalError)}
+    results = {c: r for c, r in outcomes.items() if c not in errors}
     if not results:
         raise _all_failed(f"{name} subproblem at k={k}", errors)
     scores = {c: (results[c].value if c in results else None) for c in candidates}
@@ -174,8 +168,11 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     f_max = DiscriminationObjective(ctx, betas[winner], winner, nu=0.0)(
         results[winner].x, need_grad=False).value
     ctx.basis.swap(k, winner)
-    record = {"stage": name, "k": k, "scores": scores,
-              "errors": errors, "winner": winner, "f_max": f_max}
+    stats = {"rounds": runs.rounds, "evals": runs.evals,
+             "candidates": {c: {"iterations": r.iterations, "evals": r.evals,
+                                "converged": r.converged} for c, r in results.items()}}
+    record = {"stage": name, "k": k, "scores": scores, "errors": errors,
+              "winner": winner, "f_max": f_max, "stats": stats}
     return control, record
 
 
@@ -211,18 +208,19 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
         raise ValueError("need exactly k controls")
     lo = np.zeros(k)
     hi = np.full(k, cfg.alpha_max)
-
-    def attempt(cand):
-        rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
-        targets = fitting_targets(ctx, cand, controls)
-        obj = FittingObjective(ctx, controls, targets, cfg.nu)
-        return multistart_minimize(obj, [np.zeros(k), rng.uniform(lo, hi)], lo, hi,
-                                   cfg.optim_coeff)
-
-    results, errors = _map_candidates(attempt, range(k, size))
-    if not results:
+    betas, errors = {}, {}
+    for cand in range(k, size):
+        try:
+            rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
+            targets = fitting_targets(ctx, cand, controls)
+            obj = FittingObjective(ctx, controls, targets, cfg.nu)
+            betas[cand] = multistart_minimize(obj, [np.zeros(k), rng.uniform(lo, hi)],
+                                              lo, hi, cfg.optim_coeff).x
+        except NumericalError as exc:
+            errors[cand] = str(exc)
+    if not betas:
         raise _all_failed(f"fitting subproblem at k={k}", errors)
-    return {c: r.x for c, r in results.items()}, errors
+    return betas, errors
 
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,

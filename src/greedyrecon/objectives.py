@@ -14,13 +14,14 @@ variables this is h^2 times the L2-representer.
 
 Each evaluation makes one stacked forward solve and, with a gradient, one
 stacked adjoint solve (see ``forward``): the misfit stacks its M controls
-under one coefficient vector, the discrimination stacks surrogate and
-candidate as the two rows of one combo under one control.  Each item of a
-stack stops on its own test, so its state is the one a solve alone gives.
+under one coefficient vector; :func:`discriminate` evaluates C
+discrimination objectives at once, each surrogate and candidate a pair of
+rows of one 2C-row combo under their own control.  Each item of a stack
+stops on its own test, so its state is the one a solve alone gives.
 
-Each oracle keeps a one-slot cache of the forward states at the last
-evaluated point, so a value-only call from a line search followed by a
-gradient call at the same point solves the forward problems only once.
+The misfit keeps a one-slot cache of the forward states at the last
+evaluated point, so a value-only call followed by a gradient call at the
+same point solves the forward problems only once.
 """
 
 from __future__ import annotations
@@ -234,9 +235,9 @@ class DiscriminationObjective:
 
     so the regularizer penalizes control energy.  The initialization
     problem is the special case beta = () where the surrogate state is the
-    plain Poisson solve.  Surrogate and candidate are the two rows of one
-    stacked combo, so both states, and both adjoints, are solved as one
-    stack of two.
+    plain Poisson solve.  A call is the one-objective case of
+    :func:`discriminate`; the terms follow the basis order of the moment
+    of evaluation.
     """
 
     def __init__(self, ctx: SolverContext, beta, candidate_pos: int, nu: float):
@@ -244,28 +245,44 @@ class DiscriminationObjective:
         self.beta = np.asarray(beta, dtype=float)
         self.candidate_pos = int(candidate_pos)
         self.nu = float(nu)
-        rows = np.zeros((2, max(self.beta.size, self.candidate_pos + 1)))
-        rows[0, :self.beta.size] = self.beta
-        rows[1, self.candidate_pos] = 1.0
-        self.pair = ctx.combo(rows)
-        self._states = _LastPoint()
-
-    def _solve(self, vec: np.ndarray):
-        eps = vec_to_control(self.ctx.grid, vec)
-        return eps, self.ctx.solve(self.pair, np.stack([eps, eps]))
 
     def __call__(self, vec: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
-        vec = np.asarray(vec, dtype=float)
-        eps, states = self._states.get(vec, self._solve)
-        grid = self.ctx.grid
-        diff = states[0] - states[1]
-        value = 0.5 * _misfit_sq(grid, diff) - 0.5 * self.nu * _misfit_sq(grid, eps)
-        if not need_grad:
-            return ObjectiveEval(value, None)
-        q = solve_adjoint(self.ctx.op, self.pair, states, np.stack([diff, -diff]))
-        rep = interior(q[0]) - self.nu * interior(eps) + interior(q[1])
-        grad = grid.h**2 * rep.reshape(-1)
-        return ObjectiveEval(value, grad)
+        return discriminate([self], [vec], need_grad)[0]
+
+
+def discriminate(objectives, vecs, need_grad: bool = True) -> list:
+    """Evaluate each discrimination objective at its own flat control.
+
+    The C objectives become the 2C rows of one combo, surrogate then
+    candidate, under their C controls, so all states are one stacked solve
+    and, with gradients, all adjoints another.  A row's zero padding adds
+    exact zeros, so each ObjectiveEval is bit-identical to the one its
+    objective gives alone; NumericalError if any item fails.
+    """
+    ctx = objectives[0].ctx
+    if any(obj.ctx is not ctx for obj in objectives):
+        raise ValueError("stacked objectives must share one solver context")
+    grid = ctx.grid
+    rows = np.zeros((2 * len(objectives),
+                     max(max(obj.beta.size, obj.candidate_pos + 1) for obj in objectives)))
+    for i, obj in enumerate(objectives):
+        rows[2 * i, :obj.beta.size] = obj.beta
+        rows[2 * i + 1, obj.candidate_pos] = 1.0
+    combo = ctx.combo(rows)
+    eps = np.stack([vec_to_control(grid, v) for v in vecs])
+    states = ctx.solve(combo, np.repeat(eps, 2, axis=0))
+    diffs = states[0::2] - states[1::2]
+    values = [0.5 * _misfit_sq(grid, diff) - 0.5 * obj.nu * _misfit_sq(grid, e)
+              for obj, diff, e in zip(objectives, diffs, eps)]
+    if not need_grad:
+        return [ObjectiveEval(value, None) for value in values]
+    rhs = np.stack([diffs, -diffs], axis=1).reshape(states.shape)
+    q = solve_adjoint(ctx.op, combo, states, rhs)
+    out = []
+    for i, (obj, value) in enumerate(zip(objectives, values)):
+        rep = interior(q[2 * i]) - obj.nu * interior(eps[i]) + interior(q[2 * i + 1])
+        out.append(ObjectiveEval(value, grid.h**2 * rep.reshape(-1)))
+    return out
 
 
 class IdentificationObjective(FittingObjective):

@@ -331,16 +331,17 @@ class TestCliErrors:
         # a complete earlier design leaves basis.json and summary.json behind
         assert main(["--config", str(cfg), "greedy"]) == 0
         assert json.loads((art / "summary.json").read_text())["greedy"]["k_final"] == 3
-        original = greedy_mod._optimize_discrimination
+        original = greedy_mod.discriminate
 
-        def broken(ctx_, beta, cand, cfg_, starts, rng):
+        def broken(objectives, vecs):
             # candidate 2 fails at the initialization, every candidate at
             # the k=1 splitting, whose surrogates have one coefficient
-            if beta.size == 1 or (beta.size == 0 and cand == 2):
-                raise NumericalError(f"injected k={beta.size} c={cand}")
-            return original(ctx_, beta, cand, cfg_, starts, rng)
+            for o in objectives:
+                if o.beta.size == 1 or (o.beta.size == 0 and o.candidate_pos == 2):
+                    raise NumericalError(f"injected k={o.beta.size} c={o.candidate_pos}")
+            return original(objectives, vecs)
 
-        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
+        monkeypatch.setattr(greedy_mod, "discriminate", broken)
         assert main(["--config", str(cfg), "greedy"]) == 4
         doc = json.loads((art / "greedy.json").read_text())
         assert doc["failed"] is True
@@ -366,7 +367,7 @@ class TestCliErrors:
         def broken(*args, **kwargs):
             raise NumericalError("injected")
 
-        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
+        monkeypatch.setattr(greedy_mod, "discriminate", broken)
         cfg = tiny_config(tmp_path)
         assert main(["--config", str(cfg), "greedy"]) == 4
         doc = json.loads((tmp_path / "art" / "greedy.json").read_text())

@@ -11,15 +11,26 @@ from greedyrecon import (
     OptimConfig,
     run_greedy,
 )
+from greedyrecon.exceptions import NumericalError
+from greedyrecon.forward import FixedPointConfig
 from greedyrecon.greedy import (
+    STAGE_INIT,
+    STAGE_SPLIT,
     _select_winner,
+    control_optim_config,
     fitting_targets,
     run_fitting_sweep,
     run_initialization,
+    run_splitting,
     stage_rng,
 )
-from greedyrecon.objectives import DiscriminationObjective, constant_control, control_to_vec
-from greedyrecon.optimize import multistart_maximize
+from greedyrecon.objectives import (
+    DiscriminationObjective,
+    ObjectiveEval,
+    constant_control,
+    control_to_vec,
+)
+from greedyrecon.optimize import minimize_box, multistart_maximize
 
 from conftest import make_context
 
@@ -47,7 +58,33 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     ocfg = dataclasses.replace(cfg.optim_control,
                                grad_tol=cfg.optim_control.grad_tol * ctx.grid.h,
                                max_iters=200)
-    return multistart_maximize(obj, starts, lo, hi, ocfg)
+    (res,), _, _ = multistart_maximize(lambda problems, xs: [obj(x) for x in xs],
+                                       [starts], lo, hi, ocfg)
+    return res
+
+
+def sequential_stage(ctx, cfg, stage, k, betas, starts):
+    """Scores, errors and winner of a discrimination stage solved one
+    candidate and one start at a time, each start by minimize_box."""
+    lo, hi = cfg.box.flat_bounds(ctx.grid)
+    ocfg = control_optim_config(cfg, ctx.grid)
+    scores, errors = {}, {}
+    for cand in sorted(betas):
+        obj = DiscriminationObjective(ctx, betas[cand], cand, cfg.nu)
+
+        def neg(x, need_grad=True):
+            value, grad = obj(x)
+            return ObjectiveEval(-value, -grad)
+
+        pair = cfg.box.sample_constant(stage_rng(cfg.seed, stage, k, cand))
+        random_start = control_to_vec(constant_control(ctx.grid, pair))
+        try:
+            values = [minimize_box(neg, x0, lo, hi, ocfg).value
+                      for x0 in [*starts, random_start]]
+            scores[cand] = -min(values)
+        except NumericalError as exc:
+            scores[cand], errors[cand] = None, str(exc)
+    return scores, errors, _select_winner(scores)
 
 
 class TestSelectWinner:
@@ -180,16 +217,14 @@ class TestFailureHandling:
     def test_single_candidate_failure_skipped(self, monkeypatch):
         ctx = make_context(n=8, degree=1)
         cfg = fast_config()
-        original = greedy_mod._optimize_discrimination
+        original = greedy_mod.discriminate
 
-        def flaky(ctx_, beta, cand, cfg_, starts, rng):
-            if cand == 1 and beta.size == 0 and len(starts) == 1:
-                from greedyrecon.exceptions import NumericalError
-
+        def flaky(objectives, vecs):
+            if any(o.candidate_pos == 1 and o.beta.size == 0 for o in objectives):
                 raise NumericalError("injected")
-            return original(ctx_, beta, cand, cfg_, starts, rng)
+            return original(objectives, vecs)
 
-        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", flaky)
+        monkeypatch.setattr(greedy_mod, "discriminate", flaky)
         run = run_greedy(ctx, cfg)
         assert run.progress[0]["scores"][1] is None
         assert run.progress[0]["errors"] == {1: "injected"}
@@ -204,8 +239,6 @@ class TestFailureHandling:
             # the fitting subproblem draws its stream first, so raising
             # here fails the fit of candidate 2 at k=1
             if (stage, iteration, candidate) == (greedy_mod.STAGE_FIT, 1, 2):
-                from greedyrecon.exceptions import NumericalError
-
                 raise NumericalError("fit injected")
             return original(seed, stage, iteration, candidate)
 
@@ -220,11 +253,9 @@ class TestFailureHandling:
         ctx = make_context(n=8, degree=1)
 
         def broken(*args, **kwargs):
-            from greedyrecon.exceptions import NumericalError
-
             raise NumericalError("injected")
 
-        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken)
+        monkeypatch.setattr(greedy_mod, "discriminate", broken)
         with pytest.raises(GreedyFailure, match="candidate 0: injected") as info:
             run_greedy(ctx, fast_config())
         assert info.value.partial is not None
@@ -232,17 +263,15 @@ class TestFailureHandling:
 
     def test_splitting_failure_at_k1_raises_with_partial(self, monkeypatch):
         ctx = make_context(n=8, degree=1)
-        original = greedy_mod._optimize_discrimination
+        original = greedy_mod.discriminate
 
-        def broken_at_k1(ctx_, beta, cand, cfg_, starts, rng):
+        def broken_at_k1(objectives, vecs):
             # the splitting subproblems at k fit a surrogate of k coefficients
-            if beta.size == 1:
-                from greedyrecon.exceptions import NumericalError
-
+            if any(o.beta.size == 1 for o in objectives):
                 raise NumericalError("injected")
-            return original(ctx_, beta, cand, cfg_, starts, rng)
+            return original(objectives, vecs)
 
-        monkeypatch.setattr(greedy_mod, "_optimize_discrimination", broken_at_k1)
+        monkeypatch.setattr(greedy_mod, "discriminate", broken_at_k1)
         with pytest.raises(GreedyFailure,
                            match="splitting subproblem at k=1 failed") as info:
             run_greedy(ctx, fast_config())
@@ -254,6 +283,51 @@ class TestFailureHandling:
         assert partial.swaps == [(0, partial.progress[0]["winner"])]
         assert partial.f_max_history == [partial.progress[0]["f_max"]]
         assert partial.stopped_by == "failed"
+
+
+class TestLockstepStage:
+    """A stage runs every (candidate, start) in lockstep; its outcome must be
+    the one solving them one at a time gives, failures included."""
+
+    def failing_context(self):
+        # at gamma = 6 the fixed point stalls or blows up for some candidates
+        # in the middle of their runs, while others converge
+        return make_context(n=8, degree=2, gamma1=6.0, gamma2=6.0)
+
+    def test_initialization_failures_match_sequential(self):
+        ctx = self.failing_context()
+        cfg = fast_config()
+        betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
+        zero = control_to_vec(ctx.grid.zero_field())
+        expected = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
+        _, record = run_initialization(ctx, cfg)
+        assert record["errors"] and any(s is not None for s in record["scores"].values())
+        assert (record["scores"], record["errors"], record["winner"]) == expected
+        stats = record["stats"]
+        assert set(stats["candidates"]) == {c for c, s in expected[0].items() if s is not None}
+        assert stats["rounds"] == max(r["evals"] for r in stats["candidates"].values())
+
+    def test_splitting_failures_match_sequential(self):
+        ctx = self.failing_context()
+        cfg = fast_config()
+        rng = np.random.default_rng(5)
+        prev = constant_control(ctx.grid, (0.5, -0.4))
+        betas = {c: rng.uniform(0.0, 0.5, 1) for c in range(1, ctx.basis.size)}
+        starts = [control_to_vec(ctx.grid.zero_field()), control_to_vec(prev)]
+        expected = sequential_stage(ctx, cfg, STAGE_SPLIT, 1, betas, starts)
+        _, record = run_splitting(ctx, 1, betas, cfg, prev_control=prev)
+        assert record["errors"] and any(s is not None for s in record["scores"].values())
+        assert (record["scores"], record["errors"], record["winner"]) == expected
+
+    def test_fixed_point_cap_fails_candidates_alike(self):
+        ctx = dataclasses.replace(make_context(n=8, degree=2), fp=FixedPointConfig(ell_max=5))
+        cfg = fast_config()
+        betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
+        zero = control_to_vec(ctx.grid.zero_field())
+        expected = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
+        _, record = run_initialization(ctx, cfg)
+        assert record["errors"]
+        assert (record["scores"], record["errors"], record["winner"]) == expected
 
 
 class TestStageRng:

@@ -1,13 +1,29 @@
 import numpy as np
 import pytest
+import scipy.optimize as sopt
 
 from greedyrecon import (
+    ControlBox,
+    DiscriminationObjective,
     NumericalError,
     OptimConfig,
     minimize_box,
 )
-from greedyrecon.objectives import ObjectiveEval, project_box
-from greedyrecon.optimize import multistart_maximize, multistart_minimize
+from greedyrecon.objectives import (
+    ObjectiveEval,
+    constant_control,
+    control_to_vec,
+    discriminate,
+    project_box,
+)
+from greedyrecon.optimize import (
+    LBFGS_MEMORY,
+    lockstep_minimize,
+    multistart_maximize,
+    multistart_minimize,
+)
+
+from conftest import make_context
 
 
 def quadratic(center):
@@ -140,9 +156,15 @@ class TestMinimizeBox:
         assert np.all(np.abs(seen[0]) <= 2.0)
 
 
+def one_at_a_time(fun):
+    """A lockstep oracle that evaluates a one-point oracle at each point."""
+    return lambda problems, xs: [fun(x) for x in xs]
+
+
 def maximize_from(fun, x0, lo, hi, cfg):
     """Single-start maximization through multistart_maximize's negation."""
-    return multistart_maximize(fun, [x0], lo, hi, cfg)
+    (res,), _, _ = multistart_maximize(one_at_a_time(fun), [[x0]], lo, hi, cfg)
+    return res
 
 
 class TestMaximizeBox:
@@ -220,5 +242,143 @@ class TestMultistart:
         lo, hi = np.full(2, -1.0), np.full(2, 1.0)
         rng = np.random.default_rng(3)
         starts = [np.array([0.5, 0.5])] + [rng.uniform(lo, hi) for _ in range(2)]
-        res = multistart_maximize(fun, starts, lo, hi, OptimConfig())
+        (res,), _, _ = multistart_maximize(one_at_a_time(fun), [starts], lo, hi,
+                                           OptimConfig())
         assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+def scipy_reference(fun, x0, lo, hi, cfg):
+    """scipy's own L-BFGS-B call with the options the engine replicates."""
+    return sopt.minimize(
+        lambda x: fun(x), x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+        options={"maxcor": LBFGS_MEMORY, "maxiter": cfg.max_iters, "maxfun": 10**8,
+                 "ftol": 0.0, "gtol": cfg.grad_tol / max(1.0, np.sqrt(len(x0)))})
+
+
+def assert_matches_scipy(res, ref, sign=1.0):
+    assert np.array_equal(res.x, ref.x)
+    assert sign * res.value == ref.fun
+    assert res.iterations == ref.nit
+    assert res.evals == ref.nfev
+
+
+def scaled_rosenbrock(a):
+    """sum a (x_{i+1} - x_i^2)^2 + (1 - x_i)^2; its run length depends on a."""
+
+    def fun(x, need_grad=True):
+        r = x[1:] - x[:-1] ** 2
+        v = float(np.sum(a * r**2 + (1.0 - x[:-1]) ** 2))
+        g = np.zeros_like(x)
+        g[:-1] = -4.0 * a * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+        g[1:] += 2.0 * a * r
+        return ObjectiveEval(v, g if need_grad else None)
+
+    return fun
+
+
+class TestScipyEquivalence:
+    """The engine steps scipy's private ``setulb``; every run must take the
+    path ``scipy.optimize.minimize`` takes, bit for bit."""
+
+    def test_lockstep_rosenbrock_runs_match_scipy(self):
+        funs = [scaled_rosenbrock(a) for a in (1.0, 10.0, 100.0, 300.0)]
+        n = 8
+        lo, hi = np.full(n, -1.5), np.full(n, 2.0)
+        lo[3] = 1.2  # one bound active at the solution
+        starts = [[np.linspace(-1.0, 1.0, n) * s] for s in (0.3, -0.5, 0.9, -1.2)]
+        cfg = OptimConfig(max_iters=400, grad_tol=1e-10)
+        sizes = []
+
+        def evaluate(problems, xs):
+            sizes.append(len(xs))
+            return [funs[p](x) for p, x in zip(problems, xs)]
+
+        out = lockstep_minimize(evaluate, starts, lo, hi, cfg)
+        for fun, (x0,), res in zip(funs, starts, out.outcomes):
+            assert_matches_scipy(res, scipy_reference(fun, x0, lo, hi, cfg))
+        lengths = [res.evals for res in out.outcomes]
+        assert len(set(lengths)) == 4
+        assert out.rounds == max(lengths) == len(sizes)
+        assert out.evals == sum(lengths) == sum(sizes)
+        assert sizes[0] == 4 and sizes[-1] == 1
+
+    def test_stacked_discrimination_subproblems_match_scipy(self):
+        ctx = make_context(n=8, degree=2)
+        objs = [DiscriminationObjective(ctx, np.array([0.1]), 3, nu=1e-6),
+                DiscriminationObjective(ctx, np.zeros(0), 4, nu=1e-6)]
+        box = ControlBox((-1.0, -1.0), (1.0, 1.0))
+        lo, hi = box.flat_bounds(ctx.grid)
+        x0 = control_to_vec(constant_control(ctx.grid, (0.4, -0.3)))
+        cfg = OptimConfig(max_iters=80, grad_tol=1e-6 * ctx.grid.h)
+        out = multistart_maximize(
+            lambda problems, xs: discriminate([objs[p] for p in problems], xs),
+            [[x0], [x0]], lo, hi, cfg)
+        for obj, res in zip(objs, out.outcomes):
+            ref = scipy_reference(
+                lambda x: ObjectiveEval(-obj(x).value, -obj(x).grad), x0, lo, hi, cfg)
+            assert ref.nit > 3
+            assert_matches_scipy(res, ref, sign=-1.0)
+
+    def test_one_fixed_variable_matches_scipy(self):
+        # identify(k=...) pins the tail of the coefficient box at zero
+        lo, hi = np.full(4, -2.0), np.full(4, 2.0)
+        lo[2] = hi[2] = 0.0
+        fun = scaled_rosenbrock(5.0)
+        x0 = np.array([-1.0, 0.5, 1.0, 0.3])
+        cfg = OptimConfig(max_iters=300, grad_tol=1e-10)
+        res = minimize_box(fun, x0, lo, hi, cfg)
+        assert res.x[2] == 0.0
+        assert_matches_scipy(res, scipy_reference(fun, x0, lo, hi, cfg))
+
+
+class TestLockstepFailures:
+    def test_first_failing_start_decides_and_later_starts_drop(self):
+        # x^2 / 8 on [-10, 10], whose first step maps x to 3x/4; x in (5, 9)
+        # fails, and so does x in (1, 3.9), which start 4 reaches at its
+        # second point, a round after start 8 failed at its first
+        def fun(x, need_grad=True):
+            if 5.0 < x[0] < 9.0:
+                raise NumericalError("high")
+            if 1.0 < x[0] < 3.9:
+                raise NumericalError("low")
+            return ObjectiveEval(0.125 * float(x @ x), 0.25 * x)
+
+        lo, hi = np.array([-10.0]), np.array([10.0])
+        cfg = OptimConfig()
+        calls = []
+
+        def evaluate(problems, xs):
+            calls.append(len(xs))
+            return [fun(x) for x in xs]
+
+        starts = [[np.array([-3.0]), np.array([4.0]), np.array([8.0]), np.array([-6.0])],
+                  [np.array([7.5])]]
+        out = lockstep_minimize(evaluate, starts, lo, hi, cfg)
+        assert str(out.outcomes[0]) == "low"
+        assert isinstance(out.outcomes[1], NumericalError)
+        assert str(out.outcomes[1]) == "high"
+        # round 1 stacks 5 runs, fails, and retries them alone; start -6
+        # comes after failed start 8 and is dropped, while starts -3 and 4
+        # go on; round 2 stacks those two and fails on 4
+        assert calls[:6] == [5, 1, 1, 1, 1, 1]
+        assert calls[6:9] == [2, 1, 1]
+        assert all(size == 1 for size in calls[9:])
+        alone = minimize_box(fun, starts[0][0], lo, hi, cfg)
+        assert out.evals == alone.evals + 1 + 1
+
+    def test_failure_isolated_from_other_problems(self):
+        def broken(x, need_grad=True):
+            raise NumericalError("boom")
+
+        funs = [rosenbrock, broken]
+        cfg = OptimConfig(max_iters=200)
+        starts = [[np.array([-1.2, 1.0])], [np.array([1.5, 1.5])]]
+
+        def evaluate(problems, xs):
+            return [funs[p](x) for p, x in zip(problems, xs)]
+
+        out = lockstep_minimize(evaluate, starts, *BOX2, cfg)
+        alone = minimize_box(rosenbrock, starts[0][0], *BOX2, cfg)
+        assert np.array_equal(out.outcomes[0].x, alone.x)
+        assert out.outcomes[0].evals == alone.evals
+        assert str(out.outcomes[1]) == "boom"
