@@ -74,25 +74,32 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
-    """Controls by index; ConfigError unless each has one row per grid node."""
-    by_index: dict[int, np.ndarray] = {}
-    rows: dict[int, int] = {}
-    for line in path.read_text().strip().split("\n")[1:]:
+    """Controls by index; ConfigError unless every value is finite and the
+    controls are 0..M-1, each setting every grid node exactly once, as
+    write_design writes them."""
+    lines = path.read_text().strip().split("\n")[1:]
+    side = grid.n + 1
+    flat, values = np.empty(len(lines), dtype=np.int64), np.empty(len(lines))
+    for row, line in enumerate(lines):
         try:
             m, comp, i, j, value = line.split(",")
-            m, node, value = int(m), (int(comp), int(i), int(j)), float(value)
+            m, comp, i, j, values[row] = int(m), int(comp), int(i), int(j), float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {line!r}") from exc
-        if min(node) < 0 or node[0] > 1 or max(node[1:]) > grid.n:
-            raise ConfigError(f"{path}: node {node} lies outside the n={grid.n} grid")
-        field = by_index.get(m)
-        if field is None:
-            field = by_index[m] = np.zeros((2,) + grid.shape)
-        field[node] = value
-        rows[m] = rows.get(m, 0) + 1
-    if any(count != 2 * (grid.n + 1) ** 2 for count in rows.values()):
-        raise ConfigError(f"{path}: a control does not cover the n={grid.n} grid")
-    return [by_index[m] for m in sorted(by_index)]
+        if not (0 <= comp <= 1 and 0 <= i < side and 0 <= j < side):
+            raise ConfigError(f"{path}: row {line!r} lies outside the n={grid.n} grid")
+        if not 0 <= m < len(lines):
+            raise ConfigError(f"{path}: row {line!r} has no control index 0..M-1")
+        flat[row] = ((m * 2 + comp) * side + i) * side + j
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path}: non-finite row {lines[np.argmin(np.isfinite(values))]!r}")
+    del lines  # free the row strings before the fields are allocated
+    fields = np.zeros((flat.max(initial=-1) // (2 * side * side) + 1, 2, side, side))
+    if not np.all(np.bincount(flat, minlength=fields.size) == 1):
+        raise ConfigError(f"{path}: the controls are not 0..M-1, each setting every "
+                          f"node of the n={grid.n} grid exactly once")
+    fields.reshape(-1)[flat] = values
+    return list(fields)
 
 
 def _load_artifact(out: Path):
@@ -204,9 +211,7 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
                  run.swaps, run.winners)
     doc = {"failed": failure is not None, "k_final": run.k_final,
            "stopped_by": run.stopped_by, "f_max_history": run.f_max_history,
-           "progress": [dict(rec, scores={str(c): s for c, s in rec["scores"].items()},
-                             errors={str(c): e for c, e in rec["errors"].items()})
-                        for rec in run.progress]}
+           "progress": run.progress}
     if failure is not None:
         doc["message"] = str(failure)
     write_json(out / "greedy.json", doc)

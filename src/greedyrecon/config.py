@@ -12,7 +12,8 @@ every such value gave the same artifacts.  A retired key is type-checked
 like a live one before its value is compared.
 Defaults follow the reference experiment: unit half-width, bounds
 (-1,-1)..(1,1), couplings gamma1 = gamma2 = 0.2, no relaxation, stopping
-tolerance at double precision epsilon.
+tolerance at double precision epsilon.  The greedy and fixed-point fields
+take their defaults from GreedyConfig and FixedPointConfig.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .forward import FixedPointConfig
-from .greedy import DEFAULT_OPTIM_CONTROL, GreedyConfig
+from .greedy import GreedyConfig
 from .grid import Grid, NegLaplacian
 from .nonlinearity import ClosedForm, MonomialBasis
 from .objectives import ControlBox, SolverContext
@@ -43,6 +42,11 @@ RETIRED_OPTIM_KEYS = {"step_init": 1.0, "armijo_c": 1e-4, "shrink": 0.5,
                       "restarts": 1}
 RETIRED_KEYS = {"regularizer_sign": 1}
 RETIRED_POOL_KEY = "threads"
+
+
+# the owners of defaults that ExperimentConfig takes over field by field
+_GREEDY = GreedyConfig()
+_FIXED_POINT = FixedPointConfig()
 
 
 class ConfigError(ValueError):
@@ -99,19 +103,19 @@ class ExperimentConfig:
     truth: str = "bilinear"
     gamma1: float = 0.2
     gamma2: float = 0.2
-    eps_a: tuple = (-1.0, -1.0)
-    eps_b: tuple = (1.0, 1.0)
-    alpha_max: float = 1.0
-    nu: float = 1e-6
-    tol1: float = float(np.finfo(float).eps)
-    tol2: float = 1e-10
-    lambda_a: float = 0.0
-    ell_max: int = 200
-    seed: int = 0
+    eps_a: tuple = _GREEDY.box.eps_a
+    eps_b: tuple = _GREEDY.box.eps_b
+    alpha_max: float = _GREEDY.alpha_max
+    nu: float = _GREEDY.nu
+    tol1: float = _GREEDY.tol1
+    tol2: float = _FIXED_POINT.tol2
+    lambda_a: float = _FIXED_POINT.lambda_a
+    ell_max: int = _FIXED_POINT.ell_max
+    seed: int = _GREEDY.seed
     error_lattice_m: int = 101
     output_dir: str = "runs/out"
-    optim_coeff: OptimConfig = OptimConfig()
-    optim_control: OptimConfig = DEFAULT_OPTIM_CONTROL
+    optim_coeff: OptimConfig = _GREEDY.optim_coeff
+    optim_control: OptimConfig = _GREEDY.optim_control
 
     def __post_init__(self):
         self.validate()
@@ -162,15 +166,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            if key == "optim_coeff":
-                kwargs[key] = _optim_from_dict(key, value, OptimConfig())
-            elif key == "optim_control":
-                kwargs[key] = _optim_from_dict(key, value, DEFAULT_OPTIM_CONTROL)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        for f in fields(cls):
+            if isinstance(f.default, OptimConfig) and f.name in data:
+                data[f.name] = _optim_from_dict(f.name, data[f.name], f.default)
+        return cls(**data)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -252,36 +252,32 @@ def solve_adjoint(
     ``(L + diag c) s = gamma1 b1 - gamma2 b2`` with
     ``c = gamma1 dG/dy1 - gamma2 dG/dy2``, and then
     ``q_i = L^-1 (b_i - dG/dy_i * s)``.  For monotone g, c >= 0 and the
-    scalar operator is SPD.  An item with zero right-hand side gets q = 0.
-    The relative residual of each item's full coupled system is checked to
-    1e-9; an indefinite scalar operator or a failed check raises
+    scalar operator is SPD.  An item with zero right-hand side stops CG
+    before its first step, with q = 0.  The relative residual of each
+    item's full coupled system is checked to 1e-9; a non-finite
+    linearization, an indefinite scalar operator or a failed check raises
     NumericalError.
     """
     stack = _as_stack(rhs, op.grid, "right-hand side")
     states = np.asarray(state, dtype=float).reshape(stack.shape)
-    out = np.zeros(stack.shape)
+    g1, g2 = nonlin.gamma1, nonlin.gamma2
     b = interior(stack)
-    bnorm = np.sqrt(_item_dots(b, b))
-    items = np.flatnonzero(bnorm > 0.0)
-    if items.size < len(stack):
-        b, states, bnorm = b[items], states[items], bnorm[items]
-        nonlin = nonlin.rows(items)
-    if items.size:
-        g1, g2 = nonlin.gamma1, nonlin.gamma2
-        y = interior(states)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dG = np.stack(nonlin.dG(y[:, 0], y[:, 1]), axis=1)
-        if not np.isfinite(dG).all():
-            raise NumericalError("non-finite linearization in the adjoint solve")
-        c = g1 * dG[:, 0] - g2 * dG[:, 1]
-        s = _solve_shifted(op, c, g1 * b[:, 0] - g2 * b[:, 1])
-        q = op.inverse_interior(b - dG * s[:, None])
-        # residual of (L + J^T) q = b, with J^T q = dG * (gamma1 q1 - gamma2 q2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = op.apply_interior(q) + dG * (g1 * q[:, 0] - g2 * q[:, 1])[:, None] - b
-            rel = np.sqrt(_item_dots(res, res)) / bnorm
-        if not np.all(rel <= 1e-9):
-            bad = rel[~(rel <= 1e-9)][0]
-            raise NumericalError(f"adjoint solve residual {bad:.3e} too large")
-        out[items, :, 1:-1, 1:-1] = q
+    y = interior(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dG = np.stack(nonlin.dG(y[:, 0], y[:, 1]), axis=1)
+    if not np.isfinite(dG).all():
+        raise NumericalError("non-finite linearization in the adjoint solve")
+    c = g1 * dG[:, 0] - g2 * dG[:, 1]
+    s = _solve_shifted(op, c, g1 * b[:, 0] - g2 * b[:, 1])
+    q = op.inverse_interior(b - dG * s[:, None])
+    # residual of (L + J^T) q = b, with J^T q = dG * (gamma1 q1 - gamma2 q2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = op.apply_interior(q) + dG * (g1 * q[:, 0] - g2 * q[:, 1])[:, None] - b
+        res, bnorm = np.sqrt(_item_dots(res, res)), np.sqrt(_item_dots(b, b))
+        ok = res <= 1e-9 * bnorm
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise NumericalError(f"adjoint solve residual {res[k] / bnorm[k]:.3e} too large")
+    out = np.zeros(stack.shape)
+    out[:, :, 1:-1, 1:-1] = q
     return out if np.ndim(rhs) == 4 else out[0]

@@ -161,26 +161,6 @@ def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarr
     return ctx.grid.h**2 * pairing
 
 
-class _LastPoint:
-    """One-slot cache of ``compute(x)`` at the last point asked for.
-
-    ``compute`` is passed per call, not stored: an oracle holding its own
-    bound method would form a reference cycle, and its cached states would
-    then outlive it until the cyclic garbage collector runs.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._value = None
-
-    def get(self, x: np.ndarray, compute):
-        key = x.tobytes()
-        if key != self._key:
-            self._value = compute(x)
-            self._key = key
-        return self._value
-
-
 class FittingObjective:
     """Weighted coefficient misfit against one target state per control.
 
@@ -204,15 +184,22 @@ class FittingObjective:
         self.targets = np.stack(targets)
         self.nu = float(nu)
         self.weight = float(weight)
-        self._states = _LastPoint()
+        # the last point solved and its (combo, states): data only, no bound
+        # method, so no reference cycle keeps the states alive
+        self._key = None
+        self._solved = None
 
     def _solve(self, beta: np.ndarray):
-        combo = self.ctx.combo(beta)
-        return combo, self.ctx.solve(combo, self.controls)
+        key = beta.tobytes()
+        if key != self._key:
+            combo = self.ctx.combo(beta)
+            self._solved = combo, self.ctx.solve(combo, self.controls)
+            self._key = key
+        return self._solved
 
     def __call__(self, beta: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
         beta = np.asarray(beta, dtype=float)
-        combo, states = self._states.get(beta, self._solve)
+        combo, states = self._solve(beta)
         grid = self.ctx.grid
         diff = states - self.targets
         value = 0.5 * self.nu * float(np.dot(beta, beta))

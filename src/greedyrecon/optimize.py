@@ -91,44 +91,40 @@ def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
     every step, and the run stops at ``max_iters`` iterations.  The
     value-based stop is off (``factr = 0``): our objectives live at tiny
     absolute scales, so stopping is by stationarity, the iteration cap, or
-    a stalled line search.
+    a stalled line search.  A box that fixes every variable needs no case
+    of its own: setulb evaluates the start once and stops converged.
     """
     x = project_box(x0, lo, hi)
     n = x.size
     f, g = np.array(0.0), np.zeros(n)
     evals = iterations = 0
-    if np.all(lo == hi):
-        # every variable is fixed: scipy's minimize skips the optimizer
-        f, g = yield x.copy()
-        evals = 1
-    else:
-        # setulb's bound kinds: 0 none, 1 lower only, 2 both, 3 upper only
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
-        low, up = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
-        m = LBFGS_MEMORY
-        wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-        iwa = np.zeros(3 * n, dtype=np.int32)
-        task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
-        lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-        pgtol = cfg.grad_tol / max(1.0, np.sqrt(n))
-        x_seen = np.full(n, np.nan)  # equal to no point, so the start is evaluated
-        while True:
-            g = g.astype(np.float64)
-            setulb(m, x, low, up, nbd, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave,
-                   LBFGS_MAXLS, ln_task)
-            if task[0] == _TASK_FG:
-                if not np.array_equal(x, x_seen):
-                    x_seen = x.copy()
-                    seen = yield x.copy()
-                    evals += 1
-                f, g = seen
-            elif task[0] == _TASK_NEW_X:
-                iterations += 1
-                if iterations >= cfg.max_iters:
-                    task[:] = (_TASK_STOP, _STOP_MAX_ITERS)
-            else:
-                break
+    # setulb's bound kinds: 0 none, 1 lower only, 2 both, 3 upper only
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
+    low, up = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    m = LBFGS_MEMORY
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    pgtol = cfg.grad_tol / max(1.0, np.sqrt(n))
+    x_seen = np.full(n, np.nan)  # equal to no point, so the start is evaluated
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, low, up, nbd, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave,
+               LBFGS_MAXLS, ln_task)
+        if task[0] == _TASK_FG:
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                seen = yield x.copy()
+                evals += 1
+            f, g = seen
+        elif task[0] == _TASK_NEW_X:
+            iterations += 1
+            if iterations >= cfg.max_iters:
+                task[:] = (_TASK_STOP, _STOP_MAX_ITERS)
+        else:
+            break
     x = np.clip(x, lo, hi)
     pgn = _pg_norm(x, g, lo, hi)
     return OptimResult(x, float(f), pgn, iterations, pgn <= cfg.grad_tol, evals)

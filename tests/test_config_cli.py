@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from greedyrecon.cli import main
-from greedyrecon.config import ConfigError, ExperimentConfig
+from greedyrecon.config import ConfigError, ExperimentConfig, build_context, greedy_config
+from greedyrecon.forward import FixedPointConfig
+from greedyrecon.greedy import GreedyConfig
 from greedyrecon.optimize import OptimConfig
 
 
@@ -81,6 +83,12 @@ class TestExperimentConfig:
         assert cfg.gamma1 == cfg.gamma2 == 0.2
         assert cfg.lambda_a == 0.0
         assert cfg.tol1 == pytest.approx(2.22e-16, rel=1e-2)
+
+    def test_defaults_are_those_of_the_owning_types(self):
+        assert greedy_config(ExperimentConfig()) == GreedyConfig()
+        assert build_context(ExperimentConfig()).fp == FixedPointConfig()
+        doc = {"optim_coeff": {}, "optim_control": {}}
+        assert ExperimentConfig.from_dict(doc) == ExperimentConfig()
 
     def test_retired_optimizer_keys_load_at_old_defaults(self, tmp_path):
         # a config.json as written while OptimConfig had nine fields
@@ -322,6 +330,28 @@ class TestCliErrors:
         assert doc["message"] == "injected"
         assert doc["stopped_by"] == "failed"
 
+    def test_greedy_record_lists_candidates_in_numeric_order(self, tmp_path, monkeypatch):
+        import greedyrecon.cli as cli_mod
+        from greedyrecon.greedy import GreedyRun
+
+        candidates = range(1, 13)
+        record = {"stage": "initialization", "k": 0, "winner": 1, "f_max": 1.0,
+                  "scores": {c: 1.0 / c for c in candidates},
+                  "errors": {c: "injected" for c in candidates if c % 2 == 0},
+                  "stats": {"rounds": 1, "evals": 12, "candidates": {
+                      c: {"iterations": 0, "evals": 1, "converged": True}
+                      for c in candidates}}}
+
+        def designed(ctx, gcfg):
+            return GreedyRun(ctx.basis, [ctx.grid.zero_field()], [record], "exhausted")
+
+        monkeypatch.setattr(cli_mod, "run_greedy", designed)
+        assert main(["--config", str(tiny_config(tmp_path)), "greedy"]) == 0
+        (rec,) = json.loads((tmp_path / "art" / "greedy.json").read_text())["progress"]
+        assert list(rec["scores"]) == [str(c) for c in candidates]
+        assert list(rec["errors"]) == [str(c) for c in candidates if c % 2 == 0]
+        assert list(rec["stats"]["candidates"]) == list(rec["scores"])
+
     def test_failed_greedy_writes_completed_steps(self, tmp_path, monkeypatch):
         import greedyrecon.greedy as greedy_mod
         from greedyrecon.exceptions import NumericalError
@@ -478,6 +508,11 @@ def design(tmp_path):
     return tmp_path / "art"
 
 
+def relabel(rows, old, new):
+    """The controls.csv rows of control ``old`` alone, renumbered ``new``."""
+    return [f"{new}," + r.split(",", 1)[1] for r in rows if r.split(",")[0] == old]
+
+
 class TestMalformedInput:
     @staticmethod
     def identify_error(art, capsys):
@@ -499,12 +534,28 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc))
         assert str(path) in self.identify_error(design, capsys)
 
-    @pytest.mark.parametrize("row", ["1,0,3", "0,0,3,3,abc", "0,x,3,3,0.5"])
+    @pytest.mark.parametrize("row", ["1,0,3", "0,0,3,3,abc", "0,x,3,3,0.5", "0,0,3,3,nan",
+                                     "0,0,3,3,-inf"])
     def test_malformed_controls_row_exit_code(self, design, capsys, row):
         path = design / "controls.csv"
         path.write_text(path.read_text() + row + "\n")
         err = self.identify_error(design, capsys)
         assert str(path) in err and row in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [r.replace("0,0,1,2,", "0,0,1,1,", 1) if r.startswith("0,0,1,2,")
+                      else r for r in rows],
+        lambda rows: [r for r in rows if not r.startswith("1,")],
+        lambda rows: relabel(rows, "0", "-1"),
+        lambda rows: relabel(rows, "0", "3"),
+    ], ids=["node-twice-node-missing", "indices-0-2", "index-minus-1", "index-3"])
+    def test_controls_not_as_written_exit_code(self, design, capsys, edit):
+        path = design / "controls.csv"
+        header, *rows = path.read_text().strip().split("\n")
+        edited = edit(rows)
+        assert edited != rows and len(edited) % (2 * 9 ** 2) == 0
+        path.write_text("\n".join([header] + edited) + "\n")
+        assert str(path) in self.identify_error(design, capsys)
 
     @pytest.mark.parametrize("command", [["taylor"], ["landscape", "--points", "2"]],
                              ids=["taylor", "landscape"])

@@ -9,6 +9,7 @@ from greedyrecon import (
     DiscriminationObjective,
     FittingObjective,
     IdentificationObjective,
+    SolverContext,
     control_to_vec,
     generate_data,
     project_box,
@@ -267,3 +268,25 @@ class TestStateCache:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_forward_solve_only_at_a_new_point(self, ctx, monkeypatch):
+        rng = np.random.default_rng(16)
+        controls = [random_control(ctx.grid, rng) for _ in range(2)]
+        obj = FittingObjective(ctx, controls, generate_data(ctx.combo(np.zeros(6)),
+                                                            controls, ctx), nu=1e-6)
+        solves = []
+        solve = SolverContext.solve
+
+        def counting(self, nonlin, eps):
+            solves.append(len(eps))
+            return solve(self, nonlin, eps)
+
+        monkeypatch.setattr(SolverContext, "solve", counting)
+        beta = np.full(6, 0.1)
+        first = obj(beta)
+        assert solves == [2]
+        again = obj(beta.copy(), need_grad=False)
+        assert solves == [2]
+        assert again.value == first.value
+        obj(beta + 0.01, need_grad=False)
+        assert solves == [2, 2]

@@ -63,8 +63,7 @@ class TestMinimizeBox:
         assert res.converged  # projected gradient vanishes at the corner
 
     def test_fully_fixed_box_returns_the_bound(self):
-        # scipy returns no gradient when every variable is fixed, so the
-        # value and gradient come from one more oracle call at the bound
+        # setulb evaluates the bound once and stops without an iteration
         lo = np.array([0.25, -0.5])
         fun = quadratic([1.0, 1.0])
         res = minimize_box(fun, np.zeros(2), lo, lo.copy(), OptimConfig())
@@ -72,6 +71,8 @@ class TestMinimizeBox:
         assert res.value == fun(lo).value
         assert res.projected_grad_norm == 0.0
         assert res.converged
+        assert res.iterations == 0
+        assert res.evals == 1
 
     def test_rosenbrock_reaches_reference_minimum(self):
         res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), *BOX2,
