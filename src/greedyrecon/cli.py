@@ -74,9 +74,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
-    """Controls by index; ConfigError unless every value is finite and the
-    controls are 0..M-1, each setting every grid node exactly once, as
-    write_design writes them."""
+    """Controls by index; ConfigError unless every value is finite, every
+    boundary node holds 0 and the controls are 0..M-1, each setting every
+    grid node exactly once, as write_design writes them."""
     lines = path.read_text().strip().split("\n")[1:]
     side = grid.n + 1
     flat, values = np.empty(len(lines), dtype=np.int64), np.empty(len(lines))
@@ -93,6 +93,11 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
         flat[row] = ((m * 2 + comp) * side + i) * side + j
     if not np.isfinite(values).all():
         raise ConfigError(f"{path}: non-finite row {lines[np.argmin(np.isfinite(values))]!r}")
+    i, j = flat // side % side, flat % side
+    stray = (values != 0.0) & ((i % grid.n == 0) | (j % grid.n == 0))
+    if stray.any():
+        raise ConfigError(f"{path}: row {lines[np.argmax(stray)]!r} sets a boundary "
+                          f"node, which every control holds at 0")
     del lines  # free the row strings before the fields are allocated
     fields = np.zeros((flat.max(initial=-1) // (2 * side * side) + 1, 2, side, side))
     if not np.all(np.bincount(flat, minlength=fields.size) == 1):
@@ -224,7 +229,11 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_identify(out: Path, truth_override: str | None = None) -> int:
     cfg, ctx, controls = _load_artifact(out)
-    kind = truth_override or cfg.truth
+    return _identify(out, cfg, ctx, controls, truth_override or cfg.truth)
+
+
+def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str) -> int:
+    """identify on the design in ``out``, handed over as it is held in memory."""
     truth = truth_nonlinearity(cfg, kind)
     t0 = time.perf_counter()
     data = analysis.generate_data(truth, controls, ctx)
@@ -287,7 +296,8 @@ def cmd_baseline(cfg: ExperimentConfig, out: Path, count: int,
         raise ConfigError(str(exc)) from exc
     write_design(cfg, out, controls, ctx.basis,
                  {"baseline": {"count": count, "seed": cfg.seed, "mode": mode}})
-    return cmd_identify(out)
+    # %.17g round-trips, so these are the controls identify would read back
+    return _identify(out, cfg, ctx, controls, cfg.truth)
 
 
 def _resolve_pair(ctx, pair: str) -> tuple[int, int]:

@@ -20,6 +20,7 @@ as one stacked solve; a run's path is the one it takes alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .objectives import (
     ControlBox,
     DiscriminationObjective,
     FittingObjective,
+    ObjectiveEval,
     SolverContext,
     constant_control,
     control_to_vec,
@@ -130,16 +132,34 @@ def control_optim_config(cfg: GreedyConfig, grid) -> OptimConfig:
     return replace(cfg.optim_control, grad_tol=cfg.optim_control.grad_tol * grid.h)
 
 
+# The discrimination runs see the score, its gradient and their flat
+# tolerance times a power of two near DISCRIMINATION_C / h^2.  Unscaled, the
+# gradient carries h^2, and L-BFGS-B, which skips the updates of the locally
+# concave score, began each line search at a step of about 1e-6 and grew it
+# x4 per evaluation up to the box.  Of c = 2^8 .. 2^14 on the P=2 designs at
+# n=16, 32 and 64 and the P=3 design at n=16 (master seed 0), only 2^11 kept
+# every winning start converged, the unscaled winners at n=16 and 32 and the
+# same winners on all three meshes.
+DISCRIMINATION_C = 2048.0
+
+
+def discrimination_scale(grid) -> float:
+    """The power of two nearest DISCRIMINATION_C / h^2 on a log scale; a
+    power of two, so scaling a score and scaling it back are exact."""
+    return 2.0 ** round(math.log2(DISCRIMINATION_C / grid.h**2))
+
+
 def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
                           k: int, betas: dict, starts):
     """Optimize a control for every candidate in ``betas`` against its fitted
     surrogate, then swap the winner to position k.
 
     Every candidate runs from ``starts`` and one random constant control
-    drawn from its own stream; all runs of the stage advance in lockstep.
-    Returns (control, progress record).  The record's ``stats`` hold the
-    stage's rounds and evaluations, and the iterations, evaluations and
-    convergence of each candidate's winning start."""
+    drawn from its own stream; all runs of the stage advance in lockstep on
+    the score times discrimination_scale(ctx.grid).  Returns (control,
+    progress record); the record's scores and f_max are unscaled, and its
+    ``stats`` hold the stage's rounds and evaluations, and the iterations,
+    evaluations and convergence of each candidate's winning start."""
     name = "initialization" if stage == STAGE_INIT else "splitting"
     candidates = sorted(betas)
     objectives = [DiscriminationObjective(ctx, betas[c], c, cfg.nu) for c in candidates]
@@ -151,18 +171,21 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
             ctx.grid, cfg.box.sample_constant(stage_rng(cfg.seed, stage, k, c))))]
         for c in candidates]
     lo, hi = cfg.box.flat_bounds(ctx.grid)
+    scale = discrimination_scale(ctx.grid)
+    ocfg = control_optim_config(cfg, ctx.grid)
 
     def evaluate(problems, vecs):
-        return discriminate([objectives[p] for p in problems], vecs)
+        return [ObjectiveEval(scale * ev.value, scale * ev.grad)
+                for ev in discriminate([objectives[p] for p in problems], vecs)]
 
     runs = multistart_maximize(evaluate, run_starts, lo, hi,
-                               control_optim_config(cfg, ctx.grid))
+                               replace(ocfg, grad_tol=scale * ocfg.grad_tol))
     outcomes = dict(zip(candidates, runs.outcomes))
     errors = {c: str(r) for c, r in outcomes.items() if isinstance(r, NumericalError)}
     results = {c: r for c, r in outcomes.items() if c not in errors}
     if not results:
         raise _all_failed(f"{name} subproblem at k={k}", errors)
-    scores = {c: (results[c].value if c in results else None) for c in candidates}
+    scores = {c: (results[c].value / scale if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
     f_max = DiscriminationObjective(ctx, betas[winner], winner, nu=0.0)(

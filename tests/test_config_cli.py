@@ -557,6 +557,15 @@ class TestMalformedInput:
         path.write_text("\n".join([header] + edited) + "\n")
         assert str(path) in self.identify_error(design, capsys)
 
+    def test_nonzero_boundary_value_exit_code(self, design, capsys):
+        # write_design writes every boundary node as 0 and no solve reads one
+        path = design / "controls.csv"
+        text = path.read_text()
+        assert "\n0,0,0,3,0\n" in text
+        path.write_text(text.replace("\n0,0,0,3,0\n", "\n0,0,0,3,5.0\n"))
+        err = self.identify_error(design, capsys)
+        assert str(path) in err and "0,0,0,3,5.0" in err
+
     @pytest.mark.parametrize("command", [["taylor"], ["landscape", "--points", "2"]],
                              ids=["taylor", "landscape"])
     @pytest.mark.parametrize("edit", [
