@@ -35,8 +35,9 @@ CONFIG_VERSION = 1
 
 
 # keys that older files carry, with the only values they may hold: the
-# optimizer keys that selected the L-BFGS-B engine that remains and the one
-# random start per subproblem, and the sign that penalizes control energy
+# optimizer keys that selected the L-BFGS-B engine that remains, `restarts`
+# (one random start per identification or discrimination subproblem; a fit
+# takes none), and the sign that penalizes control energy
 RETIRED_OPTIM_KEYS = {"step_init": 1.0, "armijo_c": 1e-4, "shrink": 0.5,
                       "memory": 10, "seed": 0, "max_backtracks": 50,
                       "restarts": 1}

@@ -10,12 +10,12 @@ the fitted surrogate from its candidate).  The winning candidate is swapped
 into the next position.  The loop stops when the winner's unregularized
 discrimination value f_max falls to tol1 or the basis is exhausted.
 
-Per-candidate subproblems are independent, and each draws from its own
-seeded stream keyed by (stage, iteration, candidate position), so a result
-does not depend on which other candidates are solved.  The fits of a sweep
-run in turn.  The discrimination runs of a stage, one per (candidate,
-start), advance in lockstep, and each round evaluates every run that asks
-as one stacked solve; a run's path is the one it takes alone.
+Per-candidate subproblems are independent, so a result does not depend on
+which other candidates are solved.  The fits of a sweep run in turn from
+the zero coefficients and draw nothing.  A discrimination stage runs every
+(candidate, start) in lockstep, one stacked solve per round, and draws each
+candidate's random start from its own stream keyed by (stage, iteration,
+candidate position); a run's path is the one it takes alone.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from .objectives import (
 )
 from .optimize import OptimConfig, multistart_maximize, multistart_minimize
 
-# stage ids keying the random streams of stage_rng
+# stage ids keying stage_rng's streams; 2 stays unused so no stream moves
 STAGE_INIT = 1
-STAGE_FIT = 2
 STAGE_SPLIT = 3
 STAGE_IDENTIFY = 4
 
@@ -234,11 +233,9 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
     betas, errors = {}, {}
     for cand in range(k, size):
         try:
-            rng = stage_rng(cfg.seed, STAGE_FIT, k, cand)
             targets = fitting_targets(ctx, cand, controls)
             obj = FittingObjective(ctx, controls, targets, cfg.nu)
-            betas[cand] = multistart_minimize(obj, [np.zeros(k), rng.uniform(lo, hi)],
-                                              lo, hi, cfg.optim_coeff).x
+            betas[cand] = multistart_minimize(obj, [np.zeros(k)], lo, hi, cfg.optim_coeff).x
         except NumericalError as exc:
             errors[cand] = str(exc)
     if not betas:

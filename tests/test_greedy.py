@@ -30,9 +30,11 @@ from greedyrecon.greedy import (
 )
 from greedyrecon.objectives import (
     DiscriminationObjective,
+    FittingObjective,
     ObjectiveEval,
     constant_control,
     control_to_vec,
+    discriminate,
 )
 from greedyrecon.optimize import minimize_box, multistart_maximize
 
@@ -63,7 +65,8 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
     ocfg = dataclasses.replace(cfg.optim_control,
                                grad_tol=cfg.optim_control.grad_tol * ctx.grid.h,
                                max_iters=200)
-    (res,), _, _ = multistart_maximize(lambda problems, xs: [obj(x) for x in xs],
+    # one stacked call per round; each item is bit-identical to obj(x)
+    (res,), _, _ = multistart_maximize(lambda problems, xs: discriminate([obj] * len(xs), xs),
                                        [starts], lo, hi, ocfg)
     return res
 
@@ -189,14 +192,36 @@ class TestFittingSweep:
         control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
         targets = {c: fitting_targets(ctx, c, [control]) for c in (1, 2)}
         betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
-        from greedyrecon.objectives import FittingObjective
-
         for cand in (1, 2):
             obj = FittingObjective(ctx, [control], targets[cand], nu=0.0)
             grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
             values = [obj(np.array([b]), False).value for b in grid]
             best = grid[int(np.argmin(values))]
             assert abs(betas[cand][0] - best) <= 0.01
+
+    def test_each_fit_is_one_run_from_zero(self, monkeypatch):
+        ctx = make_context(n=8, degree=2)
+        cfg = fast_config()
+        rng = np.random.default_rng(3)
+        controls = [np.zeros((2,) + ctx.grid.shape) for _ in range(2)]
+        for control in controls:
+            control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
+        drawn = []
+        original = greedy_mod.stage_rng
+
+        def spy(*args):
+            drawn.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(greedy_mod, "stage_rng", spy)
+        betas, errors = run_fitting_sweep(ctx, 2, controls, cfg)
+        assert drawn == []
+        assert set(betas) == {2, 3, 4, 5} and errors == {}
+        lo, hi = np.zeros(2), np.full(2, cfg.alpha_max)
+        for cand, beta in betas.items():
+            obj = FittingObjective(ctx, controls, fitting_targets(ctx, cand, controls), cfg.nu)
+            assert np.array_equal(beta, minimize_box(obj, np.zeros(2), lo, hi,
+                                                     cfg.optim_coeff).x)
 
     def test_requires_matching_control_count(self):
         ctx = make_context(n=8, degree=1)
@@ -241,16 +266,15 @@ class TestFailureHandling:
 
     def test_fitting_failure_reason_kept_in_splitting_record(self, monkeypatch):
         ctx = make_context(n=8, degree=1)
-        original = greedy_mod.stage_rng
+        original = greedy_mod.fitting_targets
 
-        def flaky(seed, stage, iteration, candidate):
-            # the fitting subproblem draws its stream first, so raising
-            # here fails the fit of candidate 2 at k=1
-            if (stage, iteration, candidate) == (greedy_mod.STAGE_FIT, 1, 2):
+        def flaky(ctx, candidate_pos, controls):
+            # an error in the targets fails the fit of candidate 2 at k=1
+            if (candidate_pos, len(controls)) == (2, 1):
                 raise NumericalError("fit injected")
-            return original(seed, stage, iteration, candidate)
+            return original(ctx, candidate_pos, controls)
 
-        monkeypatch.setattr(greedy_mod, "stage_rng", flaky)
+        monkeypatch.setattr(greedy_mod, "fitting_targets", flaky)
         run = run_greedy(ctx, fast_config())
         split = run.progress[1]
         assert split["stage"] == "splitting"
@@ -398,6 +422,13 @@ class TestDiscriminationScale:
 def design16():
     """The n=16, P=2 design at the default greedy settings, master seed 0."""
     return run_greedy(make_context(n=16, degree=2), GreedyConfig(seed=0))
+
+
+def test_design16_winners_and_order(design16):
+    # the reference design: a change that moves it must say why here
+    assert design16.winners == [0, 2, 2, 3, 4, 5]
+    assert list(design16.basis.order) == [0, 2, 1, 3, 4, 5]
+    assert design16.stopped_by == "exhausted"
 
 
 def test_discrimination_evals_per_iteration(design16):
