@@ -8,6 +8,7 @@ identification recovers its coefficient on the y1*y2 monomial.
 Desk-scale settings (N=16, quadratic basis) keep this under a minute.
 """
 
+from dataclasses import replace
 
 from greedyrecon import (
     ClosedForm,
@@ -35,6 +36,8 @@ def main():
     run = run_greedy(ctx, cfg)
     print(f"  designed {run.k_final} controls, stopped by {run.stopped_by}")
     print("  selection order:", run.basis.ordered_exponents())
+    # the online phase works in the order the design selected the monomials
+    ctx = replace(ctx, basis=run.basis)
     for k, (f, eps) in enumerate(zip(run.f_max_history, run.controls), start=1):
         print(f"  step {k}: f_max {f:.3e}, control L2 norm {l2_norm(grid, eps):.3f}")
 

@@ -8,6 +8,7 @@ gap table; richer bases shrink the low-order gaps while the highest-order
 entries saturate.
 """
 
+from dataclasses import replace
 
 from greedyrecon import (
     ClosedForm,
@@ -30,6 +31,8 @@ def reconstruct(degree):
     ctx = SolverContext(NegLaplacian(grid), MonomialBasis(degree), 0.2, 0.2,
                         FixedPointConfig())
     run = run_greedy(ctx, GreedyConfig(seed=0))
+    # identify in the design's basis order
+    ctx = replace(ctx, basis=run.basis)
     truth = ClosedForm(0.2, 0.2, kind="exponential")
     data = generate_data(truth, run.controls, ctx)
     alpha, value, _ = identify(run.controls, data, ctx,

@@ -9,6 +9,8 @@ Right part: empirical stability ratios of the coefficient-to-state map,
 which back the Lipschitz bounds the reconstruction relies on.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from greedyrecon import (
@@ -49,6 +51,9 @@ def hessian_at_minimum(ctx, controls):
 def main():
     ctx = make_ctx()
     run = run_greedy(ctx, GreedyConfig(seed=0))
+    # both parts work in the design's basis order, so the probe's k = 1, 2, 3
+    # are the first three monomials the design selected
+    ctx = replace(ctx, basis=run.basis)
     eig_greedy = np.linalg.eigvalsh(hessian_at_minimum(ctx, run.controls))[0]
 
     ctx_rand = make_ctx()

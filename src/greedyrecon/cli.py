@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -109,19 +110,18 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
 
 def _load_artifact(out: Path):
     cfg = ExperimentConfig.load(out / "config.json")
-    ctx = build_context(cfg)
-    path, size = out / "basis.json", ctx.basis.size
+    path = out / "basis.json"
     try:
         doc = json.loads(path.read_text())
-        degree, order = doc["degree"], doc["order"]
+        degree, order = doc["degree"], list(doc["order"])
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{path}: malformed basis ({exc!r})") from exc
     if degree != cfg.degree:
         raise ConfigError(f"{path}: basis degree disagrees with config")
-    if not (isinstance(order, list) and len(order) == size
-            and all(j in order for j in range(size))):
-        raise ConfigError(f"{path}: order is not a permutation of range({size})")
-    ctx.basis.order = np.asarray(order, dtype=int)
+    try:
+        ctx = build_context(cfg, order)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     controls = read_controls(out / "controls.csv", ctx.grid)
     if not controls:
         raise ConfigError(f"{out / 'controls.csv'} holds no control")
@@ -132,7 +132,8 @@ def read_identified(out: Path, basis):
     """What identify stored: the coefficients by basis position and the truth
     they were fitted against, which may be an ``identify --truth`` override
     of the configured one; (None, None) before identify ran.  ConfigError
-    unless identified.csv holds one row per position of ``basis``, in order."""
+    unless identified.csv holds one row per position of ``basis``, in order,
+    and identify.json names a closed-form truth."""
     path = out / "identified.csv"
     if not path.exists():
         return None, None
@@ -156,6 +157,8 @@ def read_identified(out: Path, basis):
         kind = json.loads(info.read_text())["truth"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{info}: malformed ({exc!r})") from exc
+    if kind not in CLOSED_FORM_KINDS:
+        raise ConfigError(f"{info}: truth {kind!r} is not one of {CLOSED_FORM_KINDS}")
     return np.array(alpha), kind
 
 
@@ -194,7 +197,12 @@ def write_taylor(out: Path, kind: str, alpha, basis) -> None:
 
 def _write_summary(out: Path, updates: dict) -> None:
     path = out / "summary.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
+    try:
+        payload = json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed ({exc!r})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
     payload.update(updates)
     write_json(path, payload)
 
@@ -322,6 +330,8 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float,
         raise ConfigError(f"--points must be >= 1, got {points}")
     cfg, ctx, controls = _load_artifact(out)
     hi = cfg.alpha_max if hi is None else hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--lo and --hi must be finite, got {lo} and {hi}")
     # scan the objective identify minimized: its truth and its coefficients
     alpha_base, kind = read_identified(out, ctx.basis)
     truth = truth_nonlinearity(cfg, truth_override or kind or cfg.truth)

@@ -189,11 +189,12 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
-def build_context(cfg: ExperimentConfig) -> SolverContext:
+def build_context(cfg: ExperimentConfig, order=None) -> SolverContext:
+    """The configured context, its basis in ``order`` (default: graded)."""
     grid = Grid(cfg.n, cfg.x_max)
     return SolverContext(
         op=NegLaplacian(grid),
-        basis=MonomialBasis(cfg.degree),
+        basis=MonomialBasis(cfg.degree, order),
         gamma1=cfg.gamma1,
         gamma2=cfg.gamma2,
         fp=FixedPointConfig(cfg.lambda_a, cfg.tol2, cfg.ell_max),

@@ -6,8 +6,9 @@ against the zero nonlinearity); afterwards the loop alternates a fitting
 sweep (for every remaining candidate, fit coefficients on the already
 selected elements that best mimic the candidate's states under the current
 controls) and a splitting step (find the control that maximally separates
-the fitted surrogate from its candidate).  The winning candidate is swapped
-into the next position.  The loop stops when the winner's unregularized
+the fitted surrogate from its candidate).  The next step runs on a basis
+with the winner at the next position (:func:`promote`); no stage changes
+the context it is handed.  The loop stops when the winner's unregularized
 discrimination value f_max falls to tol1 or the basis is exhausted.
 
 Per-candidate subproblems are independent, so a result does not depend on
@@ -75,9 +76,9 @@ class GreedyConfig:
 @dataclass
 class GreedyRun:
     """A greedy design; each completed step is one control and one progress
-    record (stage, k, scores, errors, winner, f_max), so a run that fails at
-    step k still holds k usable controls; ``stopped_by`` is "tol1",
-    "exhausted" or "failed"."""
+    record (stage, k, scores, errors, winner, f_max), and ``basis`` is in the
+    order after the last, so a run that fails at step k still holds k usable
+    controls; ``stopped_by`` is "tol1", "exhausted" or "failed"."""
 
     basis: object
     controls: list = dc_field(default_factory=list)
@@ -148,10 +149,17 @@ def discrimination_scale(grid) -> float:
     return 2.0 ** round(math.log2(DISCRIMINATION_C / grid.h**2))
 
 
+def promote(ctx: SolverContext, k: int, winner: int) -> SolverContext:
+    """A new context like ``ctx``, on a basis with positions k and ``winner`` swapped."""
+    order = list(ctx.basis.order)
+    order[k], order[winner] = order[winner], order[k]
+    return replace(ctx, basis=replace(ctx.basis, order=order))
+
+
 def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
                           k: int, betas: dict, starts):
     """Optimize a control for every candidate in ``betas`` against its fitted
-    surrogate, then swap the winner to position k.
+    surrogate, and pick the winner for position k.
 
     Every candidate runs from ``starts`` and one random constant control
     drawn from its own stream; all runs of the stage advance in lockstep on
@@ -189,7 +197,6 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     control = vec_to_control(ctx.grid, results[winner].x)
     f_max = DiscriminationObjective(ctx, betas[winner], winner, nu=0.0)(
         results[winner].x, need_grad=False).value
-    ctx.basis.swap(k, winner)
     stats = {"rounds": runs.rounds, "evals": runs.evals,
              "candidates": {c: {"iterations": r.iterations, "evals": r.evals,
                                 "converged": r.converged} for c, r in results.items()}}
@@ -199,8 +206,8 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
 
 
 def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
-    """Pick the most distinguishable candidate and its control; swap it to
-    position 0.  Every candidate is discriminated against the zero
+    """Pick the most distinguishable candidate for position 0 and its
+    control.  Every candidate is discriminated against the zero
     nonlinearity (``beta=()``), starting from the zero control.
 
     Returns (control, progress record)."""
@@ -245,7 +252,7 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
                   prev_control=None):
-    """Find the next control and candidate; swap the winner to position k.
+    """Find the next control and the candidate for position k.
 
     Returns (control, progress record)."""
     starts = [control_to_vec(ctx.grid.zero_field())]
@@ -263,10 +270,13 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
     run = GreedyRun(ctx.basis)
     try:
         control, record = run_initialization(ctx, cfg)
-        run.controls.append(control)
-        run.progress.append(record)
-        for k in range(1, ctx.basis.size):
-            if record["f_max"] <= cfg.tol1:
+        for k in range(1, ctx.basis.size + 1):
+            # keep step k-1, whose winner takes position k-1; position k is next
+            run.controls.append(control)
+            run.progress.append(record)
+            ctx = promote(ctx, record["k"], record["winner"])
+            run.basis = ctx.basis
+            if record["f_max"] <= cfg.tol1 or k == ctx.basis.size:
                 break
             betas, fit_errors = run_fitting_sweep(ctx, k, run.controls, cfg)
             control, record = run_splitting(ctx, k, betas, cfg,
@@ -275,8 +285,6 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
             errors = {c: f"fitting: {msg}" for c, msg in fit_errors.items()}
             errors.update(record["errors"])
             record["errors"] = dict(sorted(errors.items()))
-            run.controls.append(control)
-            run.progress.append(record)
     except GreedyFailure as exc:
         exc.partial = run
         raise

@@ -5,12 +5,14 @@ function G of the pointwise values (y1, y2), lifted to the coupled reaction
 term ``g(y) = (gamma1 * G(y), -gamma2 * G(y))`` with ``gamma1 >= gamma2 > 0``
 (predator-prey sign structure).  G is either a coefficient combination of
 2-D monomials or one of three closed-form targets used to synthesize data.
+Bases and nonlinearities are immutable: a basis keeps the order it was
+built in, and a combo the terms it was built with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -19,29 +21,35 @@ from .exceptions import NumericalError
 CLOSED_FORM_KINDS = ("bilinear", "sinusoidal", "exponential")
 
 
+@dataclass(frozen=True)
 class MonomialBasis:
     """All 2-D monomials y1^i1 * y2^i2 of total degree i1 + i2 <= P.
 
-    The initial enumeration is graded: ascending total degree, then
+    The enumeration ``exponents`` is graded: ascending total degree, then
     ascending maximum entrywise degree, then descending y1-degree, which
-    starts 1, y1, y2, y1*y2, y1^2, y2^2, y1^2*y2, ...  ``order`` is a
-    mutable permutation of that enumeration; the greedy driver promotes
-    selected candidates by swapping positions.  All position-based lookups
-    go through ``order``.
+    starts 1, y1, y2, y1*y2, y1^2, y2^2, y1^2*y2, ...  ``order``, the
+    identity unless given, is a permutation of it, fixed when the basis is
+    built; all position-based lookups go through ``order``.
     """
 
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError(f"polynomial degree must be >= 0, got {degree}")
-        self.degree = degree
+    degree: int
+    order: tuple = None
+    exponents: tuple = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"polynomial degree must be >= 0, got {self.degree}")
         exps = [
             (i1, d - i1)
-            for d in range(degree + 1)
+            for d in range(self.degree + 1)
             for i1 in range(d + 1)
         ]
         exps.sort(key=lambda e: (e[0] + e[1], max(e), -e[0]))
-        self.exponents = tuple(exps)
-        self.order = np.arange(len(exps))
+        object.__setattr__(self, "exponents", tuple(exps))
+        order = tuple(range(self.size) if self.order is None else self.order)
+        if len(order) != self.size or set(order) != set(range(self.size)):
+            raise ValueError(f"order {list(order)} is not a permutation of range({self.size})")
+        object.__setattr__(self, "order", tuple(int(j) for j in order))
 
     @property
     def size(self) -> int:
@@ -49,27 +57,18 @@ class MonomialBasis:
         return len(self.exponents)
 
     def exponent(self, pos: int) -> tuple[int, int]:
-        """Exponent pair sitting at position ``pos`` of the current order."""
+        """Exponent pair sitting at position ``pos``."""
         return self.exponents[self.order[pos]]
 
     def ordered_exponents(self) -> list[tuple[int, int]]:
         return [self.exponents[j] for j in self.order]
 
     def position_of(self, exp: tuple[int, int]) -> int:
-        """Current position of the monomial with the given exponent pair."""
-        j = self.exponents.index(tuple(exp))
-        return int(np.nonzero(self.order == j)[0][0])
-
-    def swap(self, a: int, b: int) -> None:
-        self.order[[a, b]] = self.order[[b, a]]
-
-    def copy(self) -> "MonomialBasis":
-        other = MonomialBasis(self.degree)
-        other.order = self.order.copy()
-        return other
+        """Position of the monomial with the given exponent pair."""
+        return self.order.index(self.exponents.index(tuple(exp)))
 
     def monomials(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Stack of all K monomials at the given points, in current order.
+        """Stack of all K monomials at the given points, in basis order.
 
         Returns an array of shape (K,) + broadcast(y1, y2).shape.
         """
@@ -138,9 +137,7 @@ class BasisCombo(Nonlinearity):
 
     A (B, K) coefficient array stacks B combos, one per item of a stack:
     row b acts on inputs whose leading index is b.  The terms of G and of
-    both partials are fixed when the combo is built, in the basis order of
-    that moment (a later ``basis.swap`` does not change a live combo), and
-    one loop sums them.
+    both partials are fixed when the combo is built, and one loop sums them.
     """
 
     basis: MonomialBasis = None
@@ -164,7 +161,6 @@ class BasisCombo(Nonlinearity):
             max((t[k] for t in terms), default=0) for k in (1, 2)))
 
     def rows(self, index) -> "BasisCombo":
-        # a new combo, so its terms follow the basis order of now
         if self.coeffs.ndim == 1:
             return self
         return replace(self, coeffs=self.coeffs[index])

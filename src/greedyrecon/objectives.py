@@ -223,8 +223,7 @@ class DiscriminationObjective:
     so the regularizer penalizes control energy.  The initialization
     problem is the special case beta = () where the surrogate state is the
     plain Poisson solve.  A call is the one-objective case of
-    :func:`discriminate`; the terms follow the basis order of the moment
-    of evaluation.
+    :func:`discriminate`.
     """
 
     def __init__(self, ctx: SolverContext, beta, candidate_pos: int, nu: float):

@@ -20,6 +20,9 @@ Stationarity is reported as ``||x - P(x - grad)||_2`` (projected gradient
 with unit step) and ``converged`` means that norm fell to ``grad_tol``.
 The multistart functions run exactly the starts their caller hands them and
 draw nothing themselves, so everything is deterministic for fixed inputs.
+A problem's result is its best finished start, the first on ties; an
+oracle failure ends only the run it hit, and the problem fails only when
+every start fails, with the first start's error.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ class Lockstep(NamedTuple):
     evals: int
 
 
-def _best(results) -> OptimResult:
-    """The result of lowest value, the first on ties."""
-    return min(results, key=lambda res: res.value)
+def _outcome(ends):
+    """Of the runs' ends, results or errors, the result of lowest value, the
+    first on ties, or the first run's error if every run failed."""
+    finished = [res for res in ends if isinstance(res, OptimResult)]
+    return min(finished, key=lambda res: res.value) if finished else ends[0]
 
 
 def _pg_norm(x, grad, lo, hi) -> float:
@@ -158,11 +163,10 @@ def lockstep_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
     the order asked.  A NumericalError from that call has the round's runs
     evaluated one at a time, so a run fails only on its own error.
 
-    A problem's outcome is what running its starts one after another would
-    give: the result of its lowest value, the first on ties, or the
-    NumericalError of its first failing start.  So once start j fails, the
-    problem's later starts are dropped, and its earlier ones run to their
-    end.  Other exceptions propagate.
+    A problem's outcome is its finished run of lowest value, the first on
+    ties; a run that hits a NumericalError ends there and the problem's
+    other starts go on.  Only when every start fails is the outcome an
+    error, that of the first start.  Other exceptions propagate.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -171,7 +175,7 @@ def lockstep_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
         for j, x0 in enumerate(group):
             runs[p, j] = _lbfgsb(np.asarray(x0, dtype=float), lo, hi, cfg)
             asking[p, j] = next(runs[p, j])
-    done, failed = {}, {}
+    done = {}  # (problem, start): its result, or the error that ended it
     rounds = evals = 0
     while asking:
         rounds += 1
@@ -180,17 +184,14 @@ def lockstep_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
         asking = {}
         for (p, j), ev in zip(keys, answers):
             if isinstance(ev, NumericalError):
-                if p not in failed or j < failed[p][0]:
-                    failed[p] = (j, ev)
+                done[p, j] = ev
                 continue
             evals += 1
-            if p in failed and j > failed[p][0]:
-                continue
             try:
                 asking[p, j] = runs[p, j].send(ev)
             except StopIteration as stop:
                 done[p, j] = stop.value
-    outcomes = [failed[p][1] if p in failed else _best(done[p, j] for j in range(len(group)))
+    outcomes = [_outcome([done[p, j] for j in range(len(group))])
                 for p, group in enumerate(starts)]
     return Lockstep(outcomes, rounds, evals)
 
@@ -211,9 +212,18 @@ def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
 
 
 def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig) -> OptimResult:
-    """Run minimize_box from each start in turn; the best result wins,
-    first on ties."""
-    return _best(minimize_box(fun, p, lo, hi, cfg) for p in starts)
+    """Run minimize_box from each start in turn; the best finished run wins,
+    first on ties, and if every run fails the first one's error is raised."""
+    ends = []
+    for x0 in starts:
+        try:
+            ends.append(minimize_box(fun, x0, lo, hi, cfg))
+        except NumericalError as exc:
+            ends.append(exc)
+    res = _outcome(ends)
+    if isinstance(res, NumericalError):
+        raise res
+    return res
 
 
 def multistart_maximize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:

@@ -51,5 +51,5 @@ def make_context(n=16, degree=2, gamma1=0.2, gamma2=0.2, tol2=1e-10, x_max=1.0):
 
 @pytest.fixture(scope="session")
 def ctx16():
-    """Shared read-only context at desk scale (basis order never mutated here)."""
+    """Shared context at desk scale."""
     return make_context(n=16, degree=2)

@@ -18,7 +18,13 @@ import pytest
 import greedyrecon as gr
 from greedyrecon.cli import main as cli_main
 from greedyrecon.cli import _load_artifact
-from greedyrecon.greedy import _select_winner, run_fitting_sweep, run_initialization
+from greedyrecon.greedy import (
+    _select_winner,
+    promote,
+    run_fitting_sweep,
+    run_initialization,
+    run_splitting,
+)
 from greedyrecon.objectives import (
     DiscriminationObjective,
     FittingObjective,
@@ -251,11 +257,10 @@ def test_criterion_6_greedy_invariants_and_oracle():
     cfg = gr.GreedyConfig(seed=0)
     control, record = run_initialization(ctx, cfg)
     winner, f_max = record["winner"], record["f_max"]
-    ctx.basis.swap(0, winner)  # undo to score candidates in original positions
     scores = {c: oracle_best(ctx, np.zeros(0), c, cfg, None).value
               for c in range(3)}
     assert _select_winner(scores) == winner == p1_run.winners[0]
-    ctx.basis.swap(0, winner)
+    ctx = promote(ctx, 0, winner)
     controls = [control]
     k = 1
     while k <= 2 and f_max > cfg.tol1:
@@ -265,12 +270,11 @@ def test_criterion_6_greedy_invariants_and_oracle():
         oracle_winner = _select_winner(scores)
         assert oracle_winner == p1_run.winners[k], (
             f"step {k}: oracle {oracle_winner} vs run {p1_run.winners[k]}")
-        from greedyrecon.greedy import run_splitting
-
         control, record = run_splitting(ctx, k, betas, cfg,
                                         prev_control=controls[-1])
         winner, f_max = record["winner"], record["f_max"]
         assert winner == oracle_winner
+        ctx = promote(ctx, k, winner)
         controls.append(control)
         k += 1
     elapsed = time.perf_counter() - t0

@@ -168,6 +168,18 @@ class TestCliLifecycle:
         assert doc["objective_value"] >= 0.0
         assert len(doc["collinearity_per_control"]) >= 1
 
+    def test_gamma3_baseline_survives_a_failing_random_start(self, tmp_path):
+        # identification's random start blows up at its first point, while
+        # its zero start converges: the zero start's result is kept
+        doc = {"n": 16, "degree": 2, "gamma1": 3.0, "gamma2": 3.0, "seed": 0,
+               "output_dir": str(tmp_path / "art")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "baseline", "--count", "7"]) == 0
+        assert (tmp_path / "art" / "identified.csv").exists()
+        doc = json.loads((tmp_path / "art" / "identify.json").read_text())
+        assert doc["objective_value"] <= 1e-12
+
     def test_identify_truth_override(self, tmp_path):
         cfg = tiny_config(tmp_path)
         main(["--config", str(cfg), "greedy"])
@@ -587,6 +599,35 @@ class TestMalformedInput:
         capsys.readouterr()
         assert main(["--out", str(design), "taylor"]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, truth", [(["taylor"], 5),
+                                                (["landscape", "--points", "2"], "bogus")],
+                             ids=["taylor-5", "landscape-bogus"])
+    def test_identify_record_truth_not_a_closed_form_exit_code(self, design, capsys,
+                                                               command, truth):
+        path = design / "identify.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), truth=truth)))
+        capsys.readouterr()
+        assert main(["--out", str(design)] + command) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [(["identify"], "[1, 2]"),
+                                               (["landscape", "--points", "2"], "{bad")],
+                             ids=["identify-list", "landscape-malformed"])
+    def test_summary_not_a_json_object_exit_code(self, design, capsys, command, text):
+        path = design / "summary.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["--out", str(design)] + command) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [["--lo", "nan"], ["--hi", "inf"],
+                                        ["--lo=-inf", "--hi", "0.5"]])
+    def test_landscape_bounds_must_be_finite(self, design, capsys, bounds):
+        capsys.readouterr()
+        assert main(["--out", str(design), "landscape", "--points", "2"] + bounds) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (design / "landscape.csv").exists()
 
     def test_config_top_level_list_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

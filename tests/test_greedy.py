@@ -23,6 +23,7 @@ from greedyrecon.greedy import (
     control_optim_config,
     discrimination_scale,
     fitting_targets,
+    promote,
     run_fitting_sweep,
     run_initialization,
     run_splitting,
@@ -74,12 +75,12 @@ def oracle_best(ctx, beta, cand, cfg, prev_control, restarts=10):
 def sequential_stage(ctx, cfg, stage, k, betas, starts):
     """Scores, errors and winner of a discrimination stage solved one
     candidate and one start at a time, each start by minimize_box on the
-    score scaled as the stage scales it."""
+    score scaled as the stage scales it, and the number of failed starts."""
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     scale = discrimination_scale(ctx.grid)
     ocfg = control_optim_config(cfg, ctx.grid)
     ocfg = dataclasses.replace(ocfg, grad_tol=scale * ocfg.grad_tol)
-    scores, errors = {}, {}
+    scores, errors, failed = {}, {}, 0
     for cand in sorted(betas):
         obj = DiscriminationObjective(ctx, betas[cand], cand, cfg.nu)
 
@@ -89,13 +90,18 @@ def sequential_stage(ctx, cfg, stage, k, betas, starts):
 
         pair = cfg.box.sample_constant(stage_rng(cfg.seed, stage, k, cand))
         random_start = control_to_vec(constant_control(ctx.grid, pair))
-        try:
-            values = [minimize_box(neg, x0, lo, hi, ocfg).value
-                      for x0 in [*starts, random_start]]
-            scores[cand] = -min(values) / scale
-        except NumericalError as exc:
-            scores[cand], errors[cand] = None, str(exc)
-    return scores, errors, _select_winner(scores)
+        # the best finished start wins; the first start's error if none finished
+        values, failures = [], []
+        for x0 in [*starts, random_start]:
+            try:
+                values.append(minimize_box(neg, x0, lo, hi, ocfg).value)
+            except NumericalError as exc:
+                failures.append(str(exc))
+        scores[cand] = -min(values) / scale if values else None
+        if not values:
+            errors[cand] = failures[0]
+        failed += len(failures)
+    return scores, errors, _select_winner(scores), failed
 
 
 class TestSelectWinner:
@@ -156,6 +162,21 @@ class TestStructure:
             assert run.k_final == ctx.basis.size
         assert len(run.swaps) == run.k_final
         assert len(run.progress) == run.k_final
+
+    def test_stages_leave_the_context_as_it_is(self):
+        ctx = make_context(n=8, degree=2)
+        basis = ctx.basis
+        cfg = fast_config()
+        run = run_greedy(ctx, cfg)
+        control, _ = run_initialization(ctx, cfg)
+        betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
+        run_splitting(ctx, 1, betas, cfg, prev_control=control)
+        assert ctx.basis is basis and basis.order == tuple(range(basis.size))
+        # the run holds the design's order: each winner promoted in turn
+        replay = ctx
+        for rec in run.progress:
+            replay = promote(replay, rec["k"], rec["winner"])
+        assert run.basis == replay.basis != basis
 
     def test_determinism(self):
         cfg = fast_config(seed=11)
@@ -235,7 +256,6 @@ class TestOracleAgreement:
         cfg = fast_config()
         control, record = run_initialization(ctx, cfg)
         winner, f_max = record["winner"], record["f_max"]
-        ctx.basis.swap(0, winner)  # undo the op's swap for oracle scoring
         oracle_scores = {c: oracle_best(ctx, np.zeros(0), c, cfg, None).value
                          for c in range(3)}
         assert _select_winner(oracle_scores) == winner
@@ -322,8 +342,8 @@ class TestLockstepStage:
     the one solving them one at a time gives, failures included."""
 
     def failing_context(self, gamma=6.0):
-        # at gamma = 6 the fixed point stalls or blows up for some candidates
-        # in the middle of their runs, while others converge
+        # at gamma = 6 the fixed point stalls or blows up in the middle of
+        # some (candidate, start) runs, while others converge
         return make_context(n=8, degree=2, gamma1=gamma, gamma2=gamma)
 
     def test_initialization_failures_match_sequential(self):
@@ -331,10 +351,12 @@ class TestLockstepStage:
         cfg = fast_config()
         betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
         zero = control_to_vec(ctx.grid.zero_field())
-        expected = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
+        *expected, failed = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
         _, record = run_initialization(ctx, cfg)
-        assert record["errors"] and any(s is not None for s in record["scores"].values())
-        assert (record["scores"], record["errors"], record["winner"]) == expected
+        # random starts fail, but every candidate keeps its zero start's score
+        assert failed and not record["errors"]
+        assert None not in record["scores"].values()
+        assert [record["scores"], record["errors"], record["winner"]] == expected
         stats = record["stats"]
         assert set(stats["candidates"]) == {c for c, s in expected[0].items() if s is not None}
         assert stats["rounds"] == max(r["evals"] for r in stats["candidates"].values())
@@ -348,20 +370,20 @@ class TestLockstepStage:
         prev = constant_control(ctx.grid, (0.5, -0.4))
         betas = {c: rng.uniform(0.0, 0.5, 1) for c in range(1, ctx.basis.size)}
         starts = [control_to_vec(ctx.grid.zero_field()), control_to_vec(prev)]
-        expected = sequential_stage(ctx, cfg, STAGE_SPLIT, 1, betas, starts)
+        *expected, _ = sequential_stage(ctx, cfg, STAGE_SPLIT, 1, betas, starts)
         _, record = run_splitting(ctx, 1, betas, cfg, prev_control=prev)
         assert record["errors"] and any(s is not None for s in record["scores"].values())
-        assert (record["scores"], record["errors"], record["winner"]) == expected
+        assert [record["scores"], record["errors"], record["winner"]] == expected
 
     def test_fixed_point_cap_fails_candidates_alike(self):
         ctx = dataclasses.replace(make_context(n=8, degree=2), fp=FixedPointConfig(ell_max=5))
         cfg = fast_config()
         betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
         zero = control_to_vec(ctx.grid.zero_field())
-        expected = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
+        *expected, failed = sequential_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero])
         _, record = run_initialization(ctx, cfg)
-        assert record["errors"]
-        assert (record["scores"], record["errors"], record["winner"]) == expected
+        assert failed
+        assert [record["scores"], record["errors"], record["winner"]] == expected
 
 
 class TestStageRng:
@@ -400,22 +422,21 @@ class TestDiscriminationScale:
 
         monkeypatch.setattr(greedy_mod, "multistart_maximize", spy)
 
-        def check(record, control, betas):
+        def check(ctx, record, control, betas):
             winner = record["winner"]
-            ctx.basis.swap(record["k"], winner)  # back to the positions scored
             for cand, res in zip(sorted(betas), outcomes[-1]):
                 obj = DiscriminationObjective(ctx, betas[cand], cand, cfg.nu)
                 assert record["scores"][cand] == obj(res.x, need_grad=False).value
             f_max = DiscriminationObjective(ctx, betas[winner], winner, 0.0)(
                 control_to_vec(control), need_grad=False).value
             assert record["f_max"] == f_max > 0.0
-            ctx.basis.swap(record["k"], winner)
 
         control, record = run_initialization(ctx, cfg)
-        check(record, control, {c: np.zeros(0) for c in range(ctx.basis.size)})
+        check(ctx, record, control, {c: np.zeros(0) for c in range(ctx.basis.size)})
+        ctx = promote(ctx, 0, record["winner"])
         betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         control, record = run_splitting(ctx, 1, betas, cfg, prev_control=control)
-        check(record, control, betas)
+        check(ctx, record, control, betas)
 
 
 @pytest.fixture(scope="module")

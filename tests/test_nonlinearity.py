@@ -49,12 +49,13 @@ class TestBasisEnumeration:
             MonomialBasis(-1)
 
     def test_swap_and_position(self):
-        b = MonomialBasis(2)
-        pos = b.position_of((1, 1))
-        b.swap(0, pos)
+        pos = MonomialBasis(2).position_of((1, 1))
+        order = list(range(6))
+        order[0], order[pos] = pos, 0
+        b = MonomialBasis(2, order)
         assert b.exponent(0) == (1, 1)
         assert b.position_of((0, 0)) == pos
-        assert sorted(b.order) == list(range(6))
+        assert b.order == tuple(order)
 
 
 class TestEvalG:
@@ -166,7 +167,7 @@ class TestPowerTables:
         rng = np.random.default_rng(seed)
         basis = MonomialBasis(degree)
         if shuffle:
-            basis.order = rng.permutation(basis.size)
+            basis = MonomialBasis(degree, rng.permutation(basis.size))
         coeffs = rng.uniform(-1.0, 1.0, min(size, basis.size))
         coeffs[rng.random(coeffs.size) < 0.3] = 0.0
         combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
@@ -197,8 +198,7 @@ class TestStackedRows:
            sizes=st.tuples(st.integers(0, 21), st.integers(0, 21)))
     def test_two_row_combo_equals_its_rows(self, degree, seed, sizes):
         rng = np.random.default_rng(seed)
-        basis = MonomialBasis(degree)
-        basis.order = rng.permutation(basis.size)
+        basis = MonomialBasis(degree, rng.permutation(MonomialBasis(degree).size))
         rows = [rng.uniform(-1.0, 1.0, min(k, basis.size)) for k in sizes]
         for r in rows:
             r[rng.random(r.size) < 0.4] = 0.0
@@ -255,16 +255,30 @@ class TestPermutationSafety:
         mono = lambda p: basis.monomials(p[0], p[1])
         floors = [2e-15 * float(np.sum(np.abs(coeffs * mono(p)))) for p in pts]
         for _ in range(10):
-            shuffled = basis.copy()
             perm = rng.permutation(basis.size)
-            shuffled.order = shuffled.order[perm]
+            shuffled = MonomialBasis(3, np.asarray(basis.order)[perm])
             reordered = BasisCombo(0.2, 0.2, basis=shuffled, coeffs=coeffs[perm])
             for p, r, floor in zip(pts, ref, floors):
                 assert reordered.G(p[0], p[1]) == pytest.approx(r, rel=1e-14, abs=floor)
 
 
-class TestTermsFixedAtBuild:
-    def test_swap_after_build_leaves_a_live_combo_unchanged(self):
+class TestImmutableBasis:
+    def test_order_cannot_be_written(self):
+        basis = MonomialBasis(2, [0, 2, 1, 3, 4, 5])
+        with pytest.raises(AttributeError):
+            basis.order = (0, 1, 2, 3, 4, 5)
+        with pytest.raises(TypeError):
+            basis.order[0] = 1
+        assert not hasattr(basis, "swap") and not hasattr(basis, "copy")
+        assert basis.order == (0, 2, 1, 3, 4, 5)
+
+    @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3, 4], [0, 1, 2], [0, 1, 2, 3, 4, 6],
+                                       [1, 2, 3, 4, 5, 6], "012345"])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match=r"not a permutation of range\(6\)"):
+            MonomialBasis(2, order)
+
+    def test_a_reordered_basis_changes_no_built_combo(self):
         rng = np.random.default_rng(8)
         basis = MonomialBasis(3)
         coeffs = rng.uniform(-1.0, 1.0, basis.size)
@@ -276,19 +290,18 @@ class TestTermsFixedAtBuild:
 
         combos = [BasisCombo(0.3, 0.2, basis=basis, coeffs=c) for c in (coeffs, rows)]
         before = [evaluate(c) for c in combos]
-        basis.swap(1, 7)
-        basis.swap(0, 4)
+        order = list(basis.order)
+        order[1], order[7] = order[7], order[1]
+        order[0], order[4] = order[4], order[0]
+        moved = MonomialBasis(3, order)
         for combo, ref in zip(combos, before):
             for got, want in zip(evaluate(combo), ref):
                 assert np.array_equal(got, want)
-        # a combo built after the swaps follows the new order
-        fresh = MonomialBasis(3)
-        fresh.order = basis.order.copy()
+        assert basis.order == tuple(range(basis.size))
+        # a combo on the reordered basis follows its order
         for c, ref in zip((coeffs, rows), before):
-            after = evaluate(BasisCombo(0.3, 0.2, basis=basis, coeffs=c))
-            same_order = evaluate(BasisCombo(0.3, 0.2, basis=fresh, coeffs=c))
-            for got, want, old in zip(after, same_order, ref):
-                assert np.array_equal(got, want)
+            after = evaluate(BasisCombo(0.3, 0.2, basis=moved, coeffs=c))
+            for got, old in zip(after, ref):
                 assert not np.array_equal(got, old)
 
 

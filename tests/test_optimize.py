@@ -333,17 +333,19 @@ class TestScipyEquivalence:
 
 
 class TestLockstepFailures:
-    def test_first_failing_start_decides_and_later_starts_drop(self):
+    @staticmethod
+    def two_band_fun(x, need_grad=True):
         # x^2 / 8 on [-10, 10], whose first step maps x to 3x/4; x in (5, 9)
         # fails, and so does x in (1, 3.9), which start 4 reaches at its
-        # second point, a round after start 8 failed at its first
-        def fun(x, need_grad=True):
-            if 5.0 < x[0] < 9.0:
-                raise NumericalError("high")
-            if 1.0 < x[0] < 3.9:
-                raise NumericalError("low")
-            return ObjectiveEval(0.125 * float(x @ x), 0.25 * x)
+        # second point, a round after starts 8 and 7.5 failed at their first
+        if 5.0 < x[0] < 9.0:
+            raise NumericalError("high")
+        if 1.0 < x[0] < 3.9:
+            raise NumericalError("low")
+        return ObjectiveEval(0.125 * float(x @ x), 0.25 * x)
 
+    def test_best_finished_start_wins_and_all_failed_gives_first_error(self):
+        fun = self.two_band_fun
         lo, hi = np.array([-10.0]), np.array([10.0])
         cfg = OptimConfig()
         calls = []
@@ -353,19 +355,37 @@ class TestLockstepFailures:
             return [fun(x) for x in xs]
 
         starts = [[np.array([-3.0]), np.array([4.0]), np.array([8.0]), np.array([-6.0])],
-                  [np.array([7.5])]]
+                  [np.array([7.5])],
+                  [np.array([4.0]), np.array([8.0])]]
         out = lockstep_minimize(evaluate, starts, lo, hi, cfg)
-        assert str(out.outcomes[0]) == "low"
+        # problem 0: starts 4 and 8 fail, -3 and -6 finish, and the better
+        # of those wins, the first on ties
+        alone = [minimize_box(fun, starts[0][j], lo, hi, cfg) for j in (0, 3)]
+        best = min(alone, key=lambda res: res.value)
+        assert np.array_equal(out.outcomes[0].x, best.x)
+        assert out.outcomes[0].value == best.value
+        # every start of problems 1 and 2 fails; problem 2 reports its first
+        # start's error, though its second start failed a round earlier
         assert isinstance(out.outcomes[1], NumericalError)
         assert str(out.outcomes[1]) == "high"
-        # round 1 stacks 5 runs, fails, and retries them alone; start -6
-        # comes after failed start 8 and is dropped, while starts -3 and 4
-        # go on; round 2 stacks those two and fails on 4
-        assert calls[:6] == [5, 1, 1, 1, 1, 1]
-        assert calls[6:9] == [2, 1, 1]
-        assert all(size == 1 for size in calls[9:])
-        alone = minimize_box(fun, starts[0][0], lo, hi, cfg)
-        assert out.evals == alone.evals + 1 + 1
+        assert str(out.outcomes[2]) == "low"
+        # round 1 stacks 7 runs, fails, and retries them alone; round 2
+        # stacks the four runs left, fails on both starts at 4, and retries;
+        # then starts -3 and -6 go on
+        assert calls[:8] == [7, 1, 1, 1, 1, 1, 1, 1]
+        assert calls[8:13] == [4, 1, 1, 1, 1]
+        assert all(size <= 2 for size in calls[13:])
+        assert out.evals == alone[0].evals + alone[1].evals + 1 + 1
+
+    def test_sequential_multistart_follows_the_same_rule(self):
+        fun = self.two_band_fun
+        lo, hi = np.array([-10.0]), np.array([10.0])
+        cfg = OptimConfig()
+        res = multistart_minimize(fun, [np.array([8.0]), np.array([-3.0])], lo, hi, cfg)
+        alone = minimize_box(fun, np.array([-3.0]), lo, hi, cfg)
+        assert np.array_equal(res.x, alone.x) and res.evals == alone.evals
+        with pytest.raises(NumericalError, match="^low$"):
+            multistart_minimize(fun, [np.array([4.0]), np.array([8.0])], lo, hi, cfg)
 
     def test_failure_isolated_from_other_problems(self):
         def broken(x, need_grad=True):
