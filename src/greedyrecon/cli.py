@@ -52,11 +52,13 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The header line, then one line per row, a tuple of numbers, each
+    written with 17 significant digits: floats round-trip and integers
+    (all below 10^17 here) are written as integers."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_matrix_csv(path: Path, corner: str, col_coords, row_coords, matrix) -> None:
@@ -167,6 +169,16 @@ ARTIFACTS = ("greedy.json", "identified.csv", "identify.json", "error_field.csv"
              "taylor.csv", "landscape.csv", "stability.json", "summary.json")
 
 
+def _control_rows(controls):
+    """(control, component, i, j, value) for every node of every control in
+    index order, as Python ints and floats, which format faster than numpy
+    scalars."""
+    for m, field in enumerate(controls):
+        nodes = np.indices(field.shape).reshape(field.ndim, -1).T.tolist()
+        for (comp, i, j), value in zip(nodes, field.ravel().tolist()):
+            yield m, comp, i, j, value
+
+
 def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dict,
                  swaps=(), winners=()) -> None:
     """Start ``out`` over with a design: delete every file in ARTIFACTS, then
@@ -176,8 +188,7 @@ def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dic
         (out / name).unlink(missing_ok=True)
     cfg.save(out / "config.json")
     write_csv(out / "controls.csv", ["control", "component", "i", "j", "value"],
-              ((m, *node, float(v)) for m, field in enumerate(controls)
-               for node, v in np.ndenumerate(field)))
+              _control_rows(controls))
     write_json(out / "basis.json", {
         "degree": basis.degree,
         "exponents": [list(e) for e in basis.exponents],
@@ -195,7 +206,10 @@ def write_taylor(out: Path, kind: str, alpha, basis) -> None:
               [(i1, i2, t, a, err) for (i1, i2), (t, a, err) in sorted(table.items())])
 
 
-def _write_summary(out: Path, updates: dict) -> None:
+def read_summary(out: Path) -> dict:
+    """summary.json of ``out``, or {} before any command wrote one.  Commands
+    that add a section read it before they write anything, and write it
+    back last, so one that fails on it has changed nothing."""
     path = out / "summary.json"
     try:
         payload = json.loads(path.read_text()) if path.exists() else {}
@@ -203,8 +217,7 @@ def _write_summary(out: Path, updates: dict) -> None:
         raise ConfigError(f"{path}: malformed ({exc!r})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
-    payload.update(updates)
-    write_json(path, payload)
+    return payload
 
 
 def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
@@ -237,11 +250,14 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_identify(out: Path, truth_override: str | None = None) -> int:
     cfg, ctx, controls = _load_artifact(out)
-    return _identify(out, cfg, ctx, controls, truth_override or cfg.truth)
+    summary = read_summary(out)
+    return _identify(out, cfg, ctx, controls, truth_override or cfg.truth, summary)
 
 
-def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str) -> int:
-    """identify on the design in ``out``, handed over as it is held in memory."""
+def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
+              summary: dict) -> int:
+    """identify on the design in ``out``, handed over as it is held in memory
+    with the summary it extends."""
     truth = truth_nonlinearity(cfg, kind)
     t0 = time.perf_counter()
     data = analysis.generate_data(truth, controls, ctx)
@@ -285,10 +301,11 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str) -> int
         "max_error_on_sets": onset,
         "max_error_on_square": offset,
     })
-    _write_summary(out, {"identify": {"truth": kind, "objective_value": value,
-                                      "max_collinearity": max(coll),
-                                      "collinearity_union": coll_union,
-                                      "seconds": elapsed}})
+    write_json(out / "summary.json",
+               dict(summary, identify={"truth": kind, "objective_value": value,
+                                       "max_collinearity": max(coll),
+                                       "collinearity_union": coll_union,
+                                       "seconds": elapsed}))
     print(f"identify[{kind}]: objective {value:.3e} in {elapsed:.1f}s -> {out}")
     return EXIT_OK
 
@@ -305,7 +322,7 @@ def cmd_baseline(cfg: ExperimentConfig, out: Path, count: int,
     write_design(cfg, out, controls, ctx.basis,
                  {"baseline": {"count": count, "seed": cfg.seed, "mode": mode}})
     # %.17g round-trips, so these are the controls identify would read back
-    return _identify(out, cfg, ctx, controls, cfg.truth)
+    return _identify(out, cfg, ctx, controls, cfg.truth, read_summary(out))
 
 
 def _resolve_pair(ctx, pair: str) -> tuple[int, int]:
@@ -329,6 +346,7 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float,
     if points < 1:
         raise ConfigError(f"--points must be >= 1, got {points}")
     cfg, ctx, controls = _load_artifact(out)
+    summary = read_summary(out)
     hi = cfg.alpha_max if hi is None else hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"--lo and --hi must be finite, got {lo} and {hi}")
@@ -344,8 +362,9 @@ def cmd_landscape(out: Path, pair: str, points: int, lo: float,
                                    lattice, lattice)
     write_matrix_csv(out / "landscape.csv", "c1\\c2", scan.coeff2, scan.coeff1,
                      scan.values)
-    _write_summary(out, {"landscape": {"index_pair": list(idx),
-                                       "points": points, "lo": lo, "hi": hi}})
+    write_json(out / "summary.json",
+               dict(summary, landscape={"index_pair": list(idx), "points": points,
+                                        "lo": lo, "hi": hi}))
     print(f"landscape over positions {idx} -> {out / 'landscape.csv'}")
     return EXIT_OK
 
@@ -365,6 +384,7 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
         raise ConfigError(f"--k must lie in [1, {ctx.basis.size}], got {k}")
     if samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {samples}")
+    summary = read_summary(out)
     # probe at the box midpoint, or half the upper bound if that is zero
     mid = 0.5 * (np.asarray(cfg.eps_a) + np.asarray(cfg.eps_b))
     if np.all(mid == 0.0):
@@ -385,7 +405,7 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
     # the probe's config goes here, never into a design's config.json
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "stability.json", dict(payload, config=cfg.to_dict()))
-    _write_summary(out, {"stability": payload})
+    write_json(out / "summary.json", dict(summary, stability=payload))
     print(f"stability probe k={k}: H1 ratio max {stats.h1_per_dalpha[0]:.3e}")
     return EXIT_OK
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NumericalError
 from .grid import NegLaplacian, interior
@@ -169,12 +168,14 @@ def solve_semilinear(
 
 def coupled_linear_matrix(
     op: NegLaplacian, nonlin: Nonlinearity, state: np.ndarray, transpose: bool
-) -> sp.csr_matrix:
+) -> scipy.sparse.csr_matrix:
     """2x2 block system L + J(state) (or J^T) on the interior nodes.
 
     Reference assembly of the operator that :func:`solve_adjoint` inverts;
-    no solver path uses it.
+    no solver path uses it, so scipy.sparse is imported only here.
     """
+    import scipy.sparse as sp
+
     y1 = interior(state[0])
     y2 = interior(state[1])
     jac = nonlin.jacobian(y1, y2)

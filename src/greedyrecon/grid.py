@@ -11,7 +11,9 @@ transform along each axis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
 1970), so every Poisson solve is an exact transform solve: four products
 with the dense orthonormal sine matrix, O(n^3), on meshes of at most
 ``DENSE_SINE_MAX_N`` cells per side, and scipy.fft's O(n^2 log n) transform
-above that.
+above that.  The module needs only numpy: ``scipy.fft`` is imported when
+the first operator above ``DENSE_SINE_MAX_N`` is built, and ``scipy.sparse``
+only by the reference assembly :attr:`NegLaplacian.matrix`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as fft
-import scipy.sparse as sp
 
 from .exceptions import NumericalError
 
@@ -137,10 +137,16 @@ class NegLaplacian:
             # k*j reduced mod 2n keeps the sine's argument below 2*pi
             kj = np.outer(k, k) % (2 * grid.n)
             self._sine = np.sqrt(2.0 / grid.n) * np.sin(np.pi * kj / grid.n)
+        else:
+            import scipy.fft
+
+            self._dstn, self._idstn = scipy.fft.dstn, scipy.fft.idstn
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> scipy.sparse.csr_matrix:
         """Sparse interior matrix in row-major node order (reference assembly)."""
+        import scipy.sparse as sp
+
         m = self.grid.n - 1
         ones = np.ones(m)
         t = sp.diags([-ones[:-1], 2.0 * ones, -ones[:-1]], (-1, 0, 1), format="csr")
@@ -173,8 +179,8 @@ class NegLaplacian:
         if s is not None:
             return s @ ((s @ b @ s) / self.eigenvalues) @ s
         axes = (-2, -1)
-        return fft.idstn(fft.dstn(b, type=1, axes=axes) / self.eigenvalues,
-                         type=1, axes=axes)
+        return self._idstn(self._dstn(b, type=1, axes=axes) / self.eigenvalues,
+                           type=1, axes=axes)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve op(u) = rhs on interior nodes; boundary of u is zero.

@@ -621,6 +621,22 @@ class TestMalformedInput:
         assert main(["--out", str(design)] + command) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["identify"],
+        ["landscape", "--points", "2"],
+        ["--config", "cfg.json", "stability-probe", "--k", "1", "--samples", "2"],
+    ], ids=["identify", "landscape", "stability-probe"])
+    def test_bad_summary_changes_no_output(self, design, capsys, command):
+        # a command that fails on summary.json has written none of its outputs
+        (design / "identified.csv").unlink()
+        (design / "summary.json").write_text("[1, 2]")
+        before = {p.name: p.read_bytes() for p in design.iterdir()}
+        command = [str(design.parent / a) if a == "cfg.json" else a for a in command]
+        capsys.readouterr()
+        assert main(["--out", str(design)] + command) == 2
+        assert str(design / "summary.json") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in design.iterdir()} == before
+
     @pytest.mark.parametrize("bounds", [["--lo", "nan"], ["--hi", "inf"],
                                         ["--lo=-inf", "--hi", "0.5"]])
     def test_landscape_bounds_must_be_finite(self, design, capsys, bounds):
