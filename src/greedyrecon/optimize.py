@@ -25,59 +25,24 @@ oracle failure ends only the run it hit, and the problem fails only when
 every start fails, with the first start's error.
 
 ``setulb`` lives in scipy's compiled extension ``scipy/optimize/_lbfgsb``,
-which needs only numpy.  :func:`_load_setulb` loads that one file by path
-instead of importing ``scipy.optimize``, which costs about 0.3 s and 45 MiB
-per process and pulls in ``scipy.sparse``, ``scipy.linalg`` and
-``scipy.fft``; ``importlib.util.find_spec`` locates the scipy package
-without importing it.
+which needs only numpy.  :func:`greedyrecon._compiled.load` loads that one
+file by path instead of importing ``scipy.optimize``, which costs about
+0.3 s and 45 MiB per process and pulls in ``scipy.sparse``,
+``scipy.linalg`` and ``scipy.fft``.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from typing import NamedTuple
 
 import numpy as np
 
+from ._compiled import load
 from .exceptions import NumericalError
 from .objectives import ObjectiveEval, project_box
 
-
-def _load_setulb(directory: str):
-    """``setulb`` of the ``_lbfgsb`` extension file in ``directory``, loaded
-    as scipy's own import would load it, under its own module name.
-
-    A process that has not imported ``scipy.optimize`` keeps no entry for
-    the extension in ``sys.modules``, so a later ``import scipy.optimize``
-    sets it up as usual; one that has gets that same module back.
-    """
-    name = "scipy.optimize._lbfgsb"
-    paths = [os.path.join(directory, "_lbfgsb" + suffix) for suffix in EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"no compiled _lbfgsb extension in {directory}", name=name)
-    loader = ExtensionFileLoader(name, path)
-    fresh = name not in sys.modules
-    module = module_from_spec(spec_from_file_location(name, path, loader=loader))
-    loader.exec_module(module)
-    if fresh:
-        sys.modules.pop(name, None)
-    return module.setulb
-
-
-def _scipy_optimize_dir() -> str:
-    """scipy's ``optimize`` folder, found without importing scipy."""
-    spec = find_spec("scipy")
-    if spec is None:
-        raise ImportError("scipy is not installed", name="scipy")
-    return os.path.join(spec.submodule_search_locations[0], "optimize")
-
-
-setulb = _load_setulb(_scipy_optimize_dir())
+setulb = load("optimize", "_lbfgsb").setulb
 
 
 # correction pairs kept by L-BFGS-B

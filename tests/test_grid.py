@@ -14,7 +14,7 @@ from greedyrecon import (
     l2_norm,
     laplace_norm,
 )
-from greedyrecon.grid import DENSE_SINE_MAX_N
+from greedyrecon.grid import DENSE_SINE_MAX_N, interior
 
 from conftest import kappa
 
@@ -132,7 +132,7 @@ class TestLinearSolve:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), x_max=st.floats(0.25, 4.0),
            seed=st.integers(0, 2**32 - 1), pair=st.booleans())
-    @example(n=DENSE_SINE_MAX_N + 8, x_max=1.5, seed=3, pair=True)  # scipy.fft side
+    @example(n=DENSE_SINE_MAX_N + 8, x_max=1.5, seed=3, pair=True)  # transform side
     def test_sine_transform_solve_matches_sparse_direct(self, n, x_max, seed, pair):
         g = Grid(n, x_max)
         op = NegLaplacian(g)
@@ -163,8 +163,20 @@ class TestLinearSolve:
         assert got.shape == b.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n", [DENSE_SINE_MAX_N + 1, 128, 256])
+    def test_transform_solve_bit_identical_to_scipy_fft(self, n):
+        # pocketfft's dst is called with the arguments scipy.fft's dstn and
+        # idstn pass it, so the solve keeps the bits of the scipy.fft code
+        op = NegLaplacian(Grid(n, 1.5))
+        b = interior(np.random.default_rng(n).standard_normal((3, 2, n + 1, n + 1)))
+        assert not b.flags.c_contiguous
+        axes = (-2, -1)
+        ref = fft.idstn(fft.dstn(b, type=1, axes=axes) / op.eigenvalues,
+                        type=1, axes=axes)
+        assert np.array_equal(op.inverse_interior(b), ref)
+
     def test_dense_products_only_up_to_crossover(self):
-        assert DENSE_SINE_MAX_N < 128  # forward-fine's meshes stay on scipy.fft
+        assert DENSE_SINE_MAX_N < 128  # forward-fine's meshes stay on pocketfft
         assert NegLaplacian(Grid(DENSE_SINE_MAX_N, 1.0))._sine is not None
         assert NegLaplacian(Grid(DENSE_SINE_MAX_N + 1, 1.0))._sine is None
 

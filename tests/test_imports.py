@@ -1,17 +1,18 @@
-"""The import footprint, in fresh interpreters: greedyrecon starts on numpy
-and scipy's compiled L-BFGS-B extension alone, loads scipy.fft only for a
-mesh that needs it, and shares that extension with scipy.optimize whichever
-is imported first."""
+"""The import footprint, in fresh interpreters: greedyrecon runs on numpy
+plus two compiled scipy files loaded by path, L-BFGS-B's ``_lbfgsb`` and
+pocketfft's ``pypocketfft``, imports no scipy package for any mesh, and
+shares each file with scipy whichever is imported first."""
 
 import ast
 import os
 import subprocess
 import sys
+from importlib.machinery import ModuleSpec
 from pathlib import Path
 
 import pytest
 
-from greedyrecon import optimize
+from greedyrecon import _compiled
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,32 +57,86 @@ SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 def test_cli_import_loads_no_scipy_package():
     out = run_fresh(f"import sys, greedyrecon.cli; {SCIPY_MODULES}")
-    assert set(ast.literal_eval(out)) <= {"scipy.optimize._lbfgsb"}
+    assert ast.literal_eval(out) == []
 
 
-def test_fine_mesh_solve_loads_scipy_fft():
+def test_fine_mesh_solves_load_no_scipy_module():
     out = run_fresh(
         "import sys, numpy as np\n"
-        "from greedyrecon.grid import DENSE_SINE_MAX_N, Grid, NegLaplacian\n"
-        "NegLaplacian(Grid(DENSE_SINE_MAX_N, 1.0)).solve(np.ones((113, 113)))\n"
-        "assert 'scipy.fft' not in sys.modules\n"
-        "u = NegLaplacian(Grid(128, 1.0)).solve(np.ones((129, 129)))\n"
-        "assert np.isfinite(u).all()\n"
+        "from greedyrecon.grid import Grid, NegLaplacian\n"
+        "for n in (128, 256):\n"
+        "    u = NegLaplacian(Grid(n, 1.0)).solve(np.ones((n + 1, n + 1)))\n"
+        "    assert np.isfinite(u).all()\n"
         f"{SCIPY_MODULES}")
-    assert "scipy.fft" in ast.literal_eval(out)
+    assert ast.literal_eval(out) == []
+
+
+# each compiled file greedyrecon loads, with the scipy import that loads it
+# and a check, run after both imports, that both sides call the one routine
+SHARED = {
+    "_lbfgsb": ("import scipy.optimize", "from greedyrecon import optimize",
+                ROSENBROCK + "import scipy.optimize._lbfgsb\n"
+                "assert scipy.optimize._lbfgsb.setulb is optimize.setulb\n"),
+    "pypocketfft": ("import scipy.fft", "from greedyrecon.grid import Grid, NegLaplacian",
+                    "import scipy.fft._pocketfft.pypocketfft\n"
+                    "op = NegLaplacian(Grid(128, 1.0))\n"
+                    "assert scipy.fft._pocketfft.pypocketfft.dst is op._dst\n"),
+}
 
 
 @pytest.mark.parametrize("first", ["scipy", "greedyrecon"])
-def test_setulb_shared_with_scipy_optimize(first):
-    imports = ["import scipy.optimize", "from greedyrecon import optimize"]
+@pytest.mark.parametrize("extension", sorted(SHARED))
+def test_extension_shared_with_scipy(extension, first):
+    scipy_import, greedyrecon_import, check = SHARED[extension]
+    imports = [scipy_import, greedyrecon_import]
     if first == "greedyrecon":
         imports.reverse()
-    run_fresh("\n".join(imports) + "\n" + ROSENBROCK + "\n"
-              "import scipy.optimize._lbfgsb\n"
-              "assert scipy.optimize._lbfgsb.setulb is optimize.setulb\n")
+    run_fresh("\n".join(imports) + "\n" + check)
 
 
-def test_loader_names_the_directory_it_searched(tmp_path):
+def test_loader_names_the_directory_it_searched(tmp_path, monkeypatch):
+    scipy_spec = ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(_compiled, "find_spec", lambda name: scipy_spec)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
     with pytest.raises(ImportError, match="_lbfgsb") as info:
-        optimize._load_setulb(str(tmp_path))
-    assert str(tmp_path) in str(info.value)
+        _compiled.load("optimize", "_lbfgsb")
+    assert str(tmp_path / "optimize") in str(info.value)
+
+
+# the only scipy imports left in the package: scipy.sparse inside the two
+# reference assemblies that tests and perfbench/tracing.py compare against
+REFERENCE_SCIPY_IMPORTS = {
+    ("forward.py", "coupled_linear_matrix", "scipy.sparse"),
+    ("grid.py", "NegLaplacian.matrix", "scipy.sparse"),
+}
+
+
+def scipy_imports(path: Path) -> set:
+    """(file, enclosing def or class, module) of each scipy import in a file;
+    the scope is "" at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            found.update((path.name, scope, name) for name in names
+                         if name.split(".")[0] == "scipy")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_scipy_imported_only_by_reference_assemblies():
+    # a scipy package import costs a process 0.2-0.3 s of start-up
+    files = sorted((ROOT / "src" / "greedyrecon").glob("*.py"))
+    assert set().union(*map(scipy_imports, files)) == REFERENCE_SCIPY_IMPORTS
