@@ -77,7 +77,10 @@ def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
         hi[k:] = 0.0
     obj = IdentificationObjective(ctx, controls, data)
     random_start = stage_rng(seed, STAGE_IDENTIFY, 0, 0).uniform(lo, hi)
-    res = multistart_minimize(obj, [np.zeros(size), random_start], lo, hi, optim)
+    (res,), _, _ = multistart_minimize(lambda problems, xs: [obj(x) for x in xs],
+                                       [[np.zeros(size), random_start]], lo, hi, optim)
+    if isinstance(res, NumericalError):
+        raise res
     return res.x, res.value, res
 
 

@@ -292,6 +292,7 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
         "truth": kind,
         "objective_value": value,
         "iterations": res.iterations,
+        "evals": res.evals,
         "converged": bool(res.converged),
         "seconds": elapsed,
         "square_center": list(square[0]),

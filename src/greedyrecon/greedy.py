@@ -12,11 +12,12 @@ the context it is handed.  The loop stops when the winner's unregularized
 discrimination value f_max falls to tol1 or the basis is exhausted.
 
 Per-candidate subproblems are independent, so a result does not depend on
-which other candidates are solved.  The fits of a sweep run in turn from
-the zero coefficients and draw nothing.  A discrimination stage runs every
-(candidate, start) in lockstep, one stacked solve per round, and draws each
+which other candidates are solved.  Each stage is one multistart call
+whose (candidate, start) runs advance in lockstep, each on the path it
+takes alone.  The fits of a sweep start from zero and draw nothing.  A
+discrimination stage solves each round as one stack and draws each
 candidate's random start from its own stream keyed by (stage, iteration,
-candidate position); a run's path is the one it takes alone.
+candidate position).
 """
 
 from __future__ import annotations
@@ -102,9 +103,22 @@ class GreedyRun:
         return [rec["f_max"] for rec in self.progress]
 
 
-def _all_failed(what: str, errors: dict) -> GreedyFailure:
-    cand, message = min(errors.items())
-    return GreedyFailure(f"every {what} failed (candidate {cand}: {message})")
+def _stage_outcome(what: str, candidates, runs, errors: dict):
+    """(results, errors, stats) of a stage's multistart outcomes, one per
+    candidate: each error's message joins ``errors``, and the stats hold the
+    stage's rounds and evaluations, and the iterations, evaluations and
+    convergence of each candidate's winning start.  Raises GreedyFailure if
+    no candidate has a result."""
+    outcomes = dict(zip(candidates, runs.outcomes))
+    errors.update((c, str(r)) for c, r in outcomes.items() if isinstance(r, NumericalError))
+    results = {c: r for c, r in outcomes.items() if c not in errors}
+    if not results:
+        cand, message = min(errors.items())
+        raise GreedyFailure(f"every {what} failed (candidate {cand}: {message})")
+    stats = {"rounds": runs.rounds, "evals": runs.evals,
+             "candidates": {c: {"iterations": r.iterations, "evals": r.evals,
+                                "converged": r.converged} for c, r in results.items()}}
+    return results, errors, stats
 
 
 # scores within this relative band count as equal and the lowest candidate
@@ -165,8 +179,7 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     drawn from its own stream; all runs of the stage advance in lockstep on
     the score times discrimination_scale(ctx.grid).  Returns (control,
     progress record); the record's scores and f_max are unscaled, and its
-    ``stats`` hold the stage's rounds and evaluations, and the iterations,
-    evaluations and convergence of each candidate's winning start."""
+    ``stats`` are the stage's from :func:`_stage_outcome`."""
     name = "initialization" if stage == STAGE_INIT else "splitting"
     candidates = sorted(betas)
     objectives = [DiscriminationObjective(ctx, betas[c], c, cfg.nu) for c in candidates]
@@ -187,19 +200,13 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
 
     runs = multistart_maximize(evaluate, run_starts, lo, hi,
                                replace(ocfg, grad_tol=scale * ocfg.grad_tol))
-    outcomes = dict(zip(candidates, runs.outcomes))
-    errors = {c: str(r) for c, r in outcomes.items() if isinstance(r, NumericalError)}
-    results = {c: r for c, r in outcomes.items() if c not in errors}
-    if not results:
-        raise _all_failed(f"{name} subproblem at k={k}", errors)
+    results, errors, stats = _stage_outcome(f"{name} subproblem at k={k}",
+                                            candidates, runs, {})
     scores = {c: (results[c].value / scale if c in results else None) for c in candidates}
     winner = _select_winner(scores)
     control = vec_to_control(ctx.grid, results[winner].x)
     f_max = DiscriminationObjective(ctx, betas[winner], winner, nu=0.0)(
         results[winner].x, need_grad=False).value
-    stats = {"rounds": runs.rounds, "evals": runs.evals,
-             "candidates": {c: {"iterations": r.iterations, "evals": r.evals,
-                                "converged": r.converged} for c, r in results.items()}}
     record = {"stage": name, "k": k, "scores": scores, "errors": errors,
               "winner": winner, "f_max": f_max, "stats": stats}
     return control, record
@@ -223,31 +230,36 @@ def fitting_targets(ctx: SolverContext, candidate_pos: int, controls):
 
 
 def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
-    """Fit coefficients on the first k elements for every remaining candidate.
+    """Fit coefficients on the first k elements for every remaining candidate,
+    all fits from zero in one multistart call.
 
     Returns ({candidate position: fitted coefficient vector of length k},
-    {candidate position: failure message}): a candidate whose fit fails is
-    left out of the first and keeps its message in the second.  Raises
-    GreedyFailure if every fit fails.
+    {candidate position: failure message}, stats): a candidate whose
+    targets or fit fail is left out of the first and keeps its message in
+    the second.  Raises GreedyFailure if every fit fails.
     """
     size = ctx.basis.size
     if not (1 <= k <= size - 1):
         raise ValueError(f"fitting sweep needs 1 <= k <= K-1, got k={k}")
     if len(controls) != k:
         raise ValueError("need exactly k controls")
-    lo = np.zeros(k)
-    hi = np.full(k, cfg.alpha_max)
-    betas, errors = {}, {}
+    fits, errors = {}, {}
     for cand in range(k, size):
         try:
             targets = fitting_targets(ctx, cand, controls)
-            obj = FittingObjective(ctx, controls, targets, cfg.nu)
-            betas[cand] = multistart_minimize(obj, [np.zeros(k)], lo, hi, cfg.optim_coeff).x
+            fits[cand] = FittingObjective(ctx, controls, targets, cfg.nu)
         except NumericalError as exc:
             errors[cand] = str(exc)
-    if not betas:
-        raise _all_failed(f"fitting subproblem at k={k}", errors)
-    return betas, errors
+    objectives = list(fits.values())
+
+    def evaluate(problems, betas):
+        return [objectives[p](beta) for p, beta in zip(problems, betas)]
+
+    runs = multistart_minimize(evaluate, [[np.zeros(k)]] * len(fits), np.zeros(k),
+                               np.full(k, cfg.alpha_max), cfg.optim_coeff)
+    results, errors, stats = _stage_outcome(f"fitting subproblem at k={k}",
+                                            list(fits), runs, errors)
+    return {c: res.x for c, res in results.items()}, errors, stats
 
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
@@ -278,13 +290,14 @@ def run_greedy(ctx: SolverContext, cfg: GreedyConfig) -> GreedyRun:
             run.basis = ctx.basis
             if record["f_max"] <= cfg.tol1 or k == ctx.basis.size:
                 break
-            betas, fit_errors = run_fitting_sweep(ctx, k, run.controls, cfg)
+            betas, fit_errors, fit_stats = run_fitting_sweep(ctx, k, run.controls, cfg)
             control, record = run_splitting(ctx, k, betas, cfg,
                                             prev_control=run.controls[-1])
             # a candidate whose fit failed never reaches the splitting step
             errors = {c: f"fitting: {msg}" for c, msg in fit_errors.items()}
             errors.update(record["errors"])
             record["errors"] = dict(sorted(errors.items()))
+            record["fitting"] = fit_stats
     except GreedyFailure as exc:
         exc.partial = run
         raise

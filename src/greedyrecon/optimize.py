@@ -8,12 +8,13 @@ A run asks for the value and gradient at a point and reuses them while the
 point does not move, so each run takes the path that ``minimize`` takes,
 bit for bit.
 
-:func:`lockstep_minimize` holds one run per start of every problem and
+:func:`multistart_minimize` holds one run per start of every problem and
 advances them together: each round, every run that asks is evaluated by one
 call of the caller's oracle, which can solve them as one stack.  A run's
 path depends only on its own values, so running in lockstep changes no
-result.  :func:`minimize_box` is the one-run case, and the maximizing
-lockstep :func:`multistart_maximize` negates the oracle in one place.
+result.  Every subproblem of the pipeline runs through it, the maximizing
+:func:`multistart_maximize` negates the oracle in one place, and
+:func:`minimize_box` is the one-run case.
 
 Every iterate stays inside the box and the value sequence is monotone.
 Stationarity is reported as ``||x - P(x - grad)||_2`` (projected gradient
@@ -75,19 +76,12 @@ class OptimResult:
 
 
 class Lockstep(NamedTuple):
-    """Outcome of :func:`lockstep_minimize`: per problem its best result or
+    """Outcome of :func:`multistart_minimize`: per problem its best result or
     its error, the rounds the runs took, and their evaluations in total."""
 
     outcomes: list
     rounds: int
     evals: int
-
-
-def _outcome(ends):
-    """Of the runs' ends, results or errors, the result of lowest value, the
-    first on ties, or the first run's error if every run failed."""
-    finished = [res for res in ends if isinstance(res, OptimResult)]
-    return min(finished, key=lambda res: res.value) if finished else ends[0]
 
 
 def _pg_norm(x, grad, lo, hi) -> float:
@@ -161,7 +155,7 @@ def _evaluate_round(evaluate, problems, xs) -> list:
     return out
 
 
-def lockstep_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
+def multistart_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
     """Minimize every problem over the box [lo, hi] from each of its starts,
     all runs at once.
 
@@ -199,8 +193,11 @@ def lockstep_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
                 asking[p, j] = runs[p, j].send(ev)
             except StopIteration as stop:
                 done[p, j] = stop.value
-    outcomes = [_outcome([done[p, j] for j in range(len(group))])
-                for p, group in enumerate(starts)]
+    outcomes = []
+    for p, group in enumerate(starts):
+        ends = [done[p, j] for j in range(len(group))]
+        finished = [res for res in ends if isinstance(res, OptimResult)]
+        outcomes.append(min(finished, key=lambda res: res.value) if finished else ends[0])
     return Lockstep(outcomes, rounds, evals)
 
 
@@ -212,36 +209,21 @@ def minimize_box(fun, x0, lo, hi, cfg: OptimConfig) -> OptimResult:
     iterate is returned with converged=False; oracle failures propagate
     unchanged.
     """
-    (res,), _, _ = lockstep_minimize(lambda problems, xs: [fun(xs[0])], [[x0]],
-                                     lo, hi, cfg)
-    if isinstance(res, NumericalError):
-        raise res
-    return res
-
-
-def multistart_minimize(fun, starts, lo, hi, cfg: OptimConfig) -> OptimResult:
-    """Run minimize_box from each start in turn; the best finished run wins,
-    first on ties, and if every run fails the first one's error is raised."""
-    ends = []
-    for x0 in starts:
-        try:
-            ends.append(minimize_box(fun, x0, lo, hi, cfg))
-        except NumericalError as exc:
-            ends.append(exc)
-    res = _outcome(ends)
+    (res,), _, _ = multistart_minimize(lambda problems, xs: [fun(xs[0])], [[x0]],
+                                       lo, hi, cfg)
     if isinstance(res, NumericalError):
         raise res
     return res
 
 
 def multistart_maximize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
-    """lockstep_minimize on the negated oracle, reported in maximization
+    """multistart_minimize on the negated oracle, reported in maximization
     form."""
 
     def negated(problems, xs):
         return [ObjectiveEval(-ev.value, -ev.grad) for ev in evaluate(problems, xs)]
 
-    out = lockstep_minimize(negated, starts, lo, hi, cfg)
+    out = multistart_minimize(negated, starts, lo, hi, cfg)
     for res in out.outcomes:
         if isinstance(res, OptimResult):
             res.value = -res.value

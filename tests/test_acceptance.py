@@ -264,7 +264,7 @@ def test_criterion_6_greedy_invariants_and_oracle():
     controls = [control]
     k = 1
     while k <= 2 and f_max > cfg.tol1:
-        betas, _ = run_fitting_sweep(ctx, k, controls, cfg)
+        betas, _, _ = run_fitting_sweep(ctx, k, controls, cfg)
         scores = {c: oracle_best(ctx, betas[c], c, cfg, controls[-1]).value
                   for c in sorted(betas)}
         oracle_winner = _select_winner(scores)

@@ -4,6 +4,8 @@
 renaming one of them breaks the benchmark without failing any other test
 here, so this loads the tracer from its file, installs it (which looks up
 every patched name) and checks that uninstalling restores every original.
+A traced design checks that the tracer's counts and the design's own
+records agree.
 """
 
 import importlib.util
@@ -15,6 +17,9 @@ import pytest
 
 import greedyrecon.objectives as objectives
 import greedyrecon.optimize as optimize
+from greedyrecon import GreedyConfig, OptimConfig, run_greedy
+
+from conftest import make_context
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -53,3 +58,22 @@ def test_install_patches_and_uninstall_restores(tracing):
     assert (id(objectives.DiscriminationObjective), "__call__") in patched
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_design_counts_one_subproblem_per_stage(tracing):
+    ctx = make_context(n=8, degree=2)
+    cfg = GreedyConfig(optim_control=OptimConfig(grad_tol=1e-6, max_iters=60))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run = run_greedy(ctx, cfg)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    # the initialization, then one fitting sweep and one splitting per step
+    assert run.k_final > 1
+    assert totals["greedy.subproblem.calls"] == 2 * run.k_final - 1
+    # every fit evaluation is one call of its objective
+    fitting = [rec["fitting"] for rec in run.progress[1:]]
+    assert sum(stats["evals"] for stats in fitting) == totals[
+        "objectives.FittingObjective.calls"]

@@ -160,12 +160,16 @@ class TestCliLifecycle:
         progress = json.loads((art / "greedy.json").read_text())["progress"]
         # every stage record names its failed candidates, none here
         assert progress and all(rec["errors"] == {} for rec in progress)
+        # each splitting record carries the optimizer counts of its sweep
+        assert len(progress) > 1
+        assert all(rec["fitting"]["evals"] >= 1 for rec in progress[1:])
         assert main(["--config", str(cfg), "identify"]) == 0
         for name in ("identified.csv", "identify.json", "error_field.csv",
                      "taylor.csv"):
             assert (art / name).exists()
         doc = json.loads((art / "identify.json").read_text())
         assert doc["objective_value"] >= 0.0
+        assert doc["evals"] >= max(doc["iterations"], 1)
         assert len(doc["collinearity_per_control"]) >= 1
 
     def test_gamma3_baseline_survives_a_failing_random_start(self, tmp_path):

@@ -169,7 +169,7 @@ class TestStructure:
         cfg = fast_config()
         run = run_greedy(ctx, cfg)
         control, _ = run_initialization(ctx, cfg)
-        betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, _, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         run_splitting(ctx, 1, betas, cfg, prev_control=control)
         assert ctx.basis is basis and basis.order == tuple(range(basis.size))
         # the run holds the design's order: each winner promoted in turn
@@ -198,7 +198,7 @@ class TestFittingSweep:
         control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
         # make position 1 and 2 the same monomial family: fit candidate 1
         # against k=1 selected elements after promoting it artificially
-        betas, errors = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, errors, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         assert set(betas) == {1, 2}
         assert errors == {}
         for beta in betas.values():
@@ -212,7 +212,7 @@ class TestFittingSweep:
         control = np.zeros((2,) + ctx.grid.shape)
         control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
         targets = {c: fitting_targets(ctx, c, [control]) for c in (1, 2)}
-        betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, _, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         for cand in (1, 2):
             obj = FittingObjective(ctx, [control], targets[cand], nu=0.0)
             grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
@@ -235,7 +235,7 @@ class TestFittingSweep:
             return original(*args)
 
         monkeypatch.setattr(greedy_mod, "stage_rng", spy)
-        betas, errors = run_fitting_sweep(ctx, 2, controls, cfg)
+        betas, errors, _ = run_fitting_sweep(ctx, 2, controls, cfg)
         assert drawn == []
         assert set(betas) == {2, 3, 4, 5} and errors == {}
         lo, hi = np.zeros(2), np.full(2, cfg.alpha_max)
@@ -243,6 +243,40 @@ class TestFittingSweep:
             obj = FittingObjective(ctx, controls, fitting_targets(ctx, cand, controls), cfg.nu)
             assert np.array_equal(beta, minimize_box(obj, np.zeros(2), lo, hi,
                                                      cfg.optim_coeff).x)
+
+    def test_fit_failing_mid_run_leaves_the_other_fits_bit_identical(self, monkeypatch):
+        ctx = make_context(n=8, degree=2)
+        cfg = fast_config()
+        rng = np.random.default_rng(0)
+        controls = [np.zeros((2,) + ctx.grid.shape) for _ in range(2)]
+        for control in controls:
+            control[:, 1:-1, 1:-1] = rng.uniform(-1, 1, (2, 7, 7))
+        clean, _, clean_stats = run_fitting_sweep(ctx, 2, controls, cfg)
+        assert clean_stats["candidates"][3]["evals"] > 2
+        built, calls = [], []
+
+        def flaky(*args):
+            # candidate 3's objective, the second built, fails from its third call
+            obj = FittingObjective(*args)
+            built.append(obj)
+            if len(built) != 2:
+                return obj
+
+            def call(beta, need_grad=True):
+                calls.append(beta.copy())
+                if len(calls) > 2:
+                    raise NumericalError("fit injected")
+                return obj(beta, need_grad)
+
+            return call
+
+        monkeypatch.setattr(greedy_mod, "FittingObjective", flaky)
+        betas, errors, stats = run_fitting_sweep(ctx, 2, controls, cfg)
+        assert errors == {3: "fit injected"}
+        assert set(betas) == set(stats["candidates"]) == {2, 4, 5}
+        for cand, beta in betas.items():
+            assert np.array_equal(beta, clean[cand])
+            assert stats["candidates"][cand] == clean_stats["candidates"][cand]
 
     def test_requires_matching_control_count(self):
         ctx = make_context(n=8, degree=1)
@@ -434,7 +468,7 @@ class TestDiscriminationScale:
         control, record = run_initialization(ctx, cfg)
         check(ctx, record, control, {c: np.zeros(0) for c in range(ctx.basis.size)})
         ctx = promote(ctx, 0, record["winner"])
-        betas, _ = run_fitting_sweep(ctx, 1, [control], cfg)
+        betas, _, _ = run_fitting_sweep(ctx, 1, [control], cfg)
         control, record = run_splitting(ctx, 1, betas, cfg, prev_control=control)
         check(ctx, record, control, betas)
 

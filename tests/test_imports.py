@@ -112,31 +112,62 @@ REFERENCE_SCIPY_IMPORTS = {
 }
 
 
-def scipy_imports(path: Path) -> set:
-    """(file, enclosing def or class, module) of each scipy import in a file;
-    the scope is "" at module level."""
-    found = set()
+SOURCES = sorted((ROOT / "src" / "greedyrecon").glob("*.py"))
+
+
+def scoped_nodes(path: Path):
+    """(enclosing def or class, node) for each node of a file's syntax tree
+    outside the def and class statements themselves; the scope is "" at
+    module level."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            found.update((path.name, scope, name) for name in names
-                         if name.split(".")[0] == "scipy")
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text()), "")
+    return visit(ast.parse(path.read_text()), "")
+
+
+def scipy_imports(path: Path) -> set:
+    """(file, enclosing def or class, module) of each scipy import in a file."""
+    found = set()
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.update((path.name, scope, name) for name in names
+                     if name.split(".")[0] == "scipy")
+    return found
+
+
+def calls_of(name: str) -> set:
+    """(file, enclosing def or class) of each call of ``name``, bare or as
+    an attribute, in the package's sources."""
+    found = set()
+    for path in SOURCES:
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add((path.name, scope))
     return found
 
 
 def test_scipy_imported_only_by_reference_assemblies():
     # a scipy package import costs a process 0.2-0.3 s of start-up
-    files = sorted((ROOT / "src" / "greedyrecon").glob("*.py"))
-    assert set().union(*map(scipy_imports, files)) == REFERENCE_SCIPY_IMPORTS
+    assert set().union(*map(scipy_imports, SOURCES)) == REFERENCE_SCIPY_IMPORTS
+
+
+def test_every_optimizer_run_goes_through_the_engine():
+    # only the engine's run loop steps setulb, and no pipeline code takes the
+    # one-run shortcut, so the engine's counts, which greedy.json and
+    # identify.json record, cover every optimizer run
+    assert calls_of("setulb") == {("optimize.py", "_lbfgsb")}
+    assert calls_of("minimize_box") == set()

@@ -16,12 +16,7 @@ from greedyrecon.objectives import (
     discriminate,
     project_box,
 )
-from greedyrecon.optimize import (
-    LBFGS_MEMORY,
-    lockstep_minimize,
-    multistart_maximize,
-    multistart_minimize,
-)
+from greedyrecon.optimize import LBFGS_MEMORY, multistart_maximize, multistart_minimize
 
 from conftest import make_context
 
@@ -158,7 +153,8 @@ class TestMinimizeBox:
 
 
 def one_at_a_time(fun):
-    """A lockstep oracle that evaluates a one-point oracle at each point."""
+    """An oracle for the multistart engine that evaluates a one-point oracle
+    at each point."""
     return lambda problems, xs: [fun(x) for x in xs]
 
 
@@ -213,7 +209,8 @@ class TestMultistart:
         lo, hi = np.array([-2.0]), np.array([2.0])
         rng = np.random.default_rng(2)
         starts = [np.array([1.0])] + [rng.uniform(lo, hi) for _ in range(8)]
-        res = multistart_minimize(fun, starts, lo, hi, OptimConfig())
+        (res,), _, _ = multistart_minimize(one_at_a_time(fun), [starts], lo, hi,
+                                           OptimConfig())
         roots = np.roots([4.0, 0.0, -2.0, 0.1])
         best_root = min((r.real for r in roots if abs(r.imag) < 1e-12),
                         key=lambda r: r**4 - r**2 + 0.1 * r)
@@ -231,8 +228,10 @@ class TestMultistart:
             rng = np.random.default_rng(7)
             return [np.zeros(1)] + [rng.uniform(lo, hi) for _ in range(5)]
 
-        a = multistart_minimize(fun, seeded_starts(), lo, hi, OptimConfig())
-        b = multistart_minimize(fun, seeded_starts(), lo, hi, OptimConfig())
+        (a,), _, _ = multistart_minimize(one_at_a_time(fun), [seeded_starts()], lo, hi,
+                                         OptimConfig())
+        (b,), _, _ = multistart_minimize(one_at_a_time(fun), [seeded_starts()], lo, hi,
+                                         OptimConfig())
         assert np.array_equal(a.x, b.x)
 
     def test_maximize_variant(self):
@@ -294,7 +293,7 @@ class TestScipyEquivalence:
             sizes.append(len(xs))
             return [funs[p](x) for p, x in zip(problems, xs)]
 
-        out = lockstep_minimize(evaluate, starts, lo, hi, cfg)
+        out = multistart_minimize(evaluate, starts, lo, hi, cfg)
         for fun, (x0,), res in zip(funs, starts, out.outcomes):
             assert_matches_scipy(res, scipy_reference(fun, x0, lo, hi, cfg))
         lengths = [res.evals for res in out.outcomes]
@@ -357,7 +356,7 @@ class TestLockstepFailures:
         starts = [[np.array([-3.0]), np.array([4.0]), np.array([8.0]), np.array([-6.0])],
                   [np.array([7.5])],
                   [np.array([4.0]), np.array([8.0])]]
-        out = lockstep_minimize(evaluate, starts, lo, hi, cfg)
+        out = multistart_minimize(evaluate, starts, lo, hi, cfg)
         # problem 0: starts 4 and 8 fail, -3 and -6 finish, and the better
         # of those wins, the first on ties
         alone = [minimize_box(fun, starts[0][j], lo, hi, cfg) for j in (0, 3)]
@@ -377,16 +376,6 @@ class TestLockstepFailures:
         assert all(size <= 2 for size in calls[13:])
         assert out.evals == alone[0].evals + alone[1].evals + 1 + 1
 
-    def test_sequential_multistart_follows_the_same_rule(self):
-        fun = self.two_band_fun
-        lo, hi = np.array([-10.0]), np.array([10.0])
-        cfg = OptimConfig()
-        res = multistart_minimize(fun, [np.array([8.0]), np.array([-3.0])], lo, hi, cfg)
-        alone = minimize_box(fun, np.array([-3.0]), lo, hi, cfg)
-        assert np.array_equal(res.x, alone.x) and res.evals == alone.evals
-        with pytest.raises(NumericalError, match="^low$"):
-            multistart_minimize(fun, [np.array([4.0]), np.array([8.0])], lo, hi, cfg)
-
     def test_failure_isolated_from_other_problems(self):
         def broken(x, need_grad=True):
             raise NumericalError("boom")
@@ -398,7 +387,7 @@ class TestLockstepFailures:
         def evaluate(problems, xs):
             return [funs[p](x) for p, x in zip(problems, xs)]
 
-        out = lockstep_minimize(evaluate, starts, *BOX2, cfg)
+        out = multistart_minimize(evaluate, starts, *BOX2, cfg)
         alone = minimize_box(rosenbrock, starts[0][0], *BOX2, cfg)
         assert np.array_equal(out.outcomes[0].x, alone.x)
         assert out.outcomes[0].evals == alone.evals
