@@ -51,14 +51,17 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows, formatted: bool = False) -> None:
     """The header line, then one line per row, a tuple of numbers, each
     written with 17 significant digits: floats round-trip and integers
-    (all below 10^17 here) are written as integers."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    (all below 10^17 here) are written as integers.  With ``formatted`` the
+    rows are those lines already, newline included."""
+    if not formatted:
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        rows = (line % row for row in rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.writelines(rows)
 
 
 def write_matrix_csv(path: Path, corner: str, col_coords, row_coords, matrix) -> None:
@@ -169,14 +172,19 @@ ARTIFACTS = ("greedy.json", "identified.csv", "identify.json", "error_field.csv"
              "taylor.csv", "landscape.csv", "stability.json", "summary.json")
 
 
-def _control_rows(controls):
-    """(control, component, i, j, value) for every node of every control in
-    index order, as Python ints and floats, which format faster than numpy
-    scalars."""
+def _control_lines(controls):
+    """The ``control,component,i,j,value`` line of every node of every
+    control in index order, as write_csv formats it.  The ``component,i,j``
+    part is formatted once per grid shape; a line adds its control's prefix
+    and formats only its value, a Python float."""
+    tails = {}
     for m, field in enumerate(controls):
-        nodes = np.indices(field.shape).reshape(field.ndim, -1).T.tolist()
-        for (comp, i, j), value in zip(nodes, field.ravel().tolist()):
-            yield m, comp, i, j, value
+        if field.shape not in tails:
+            nodes = np.indices(field.shape).reshape(field.ndim, -1).T.tolist()
+            tails[field.shape] = ["%d,%d,%d,%%.17g\n" % tuple(node) for node in nodes]
+        prefix = f"{m},"
+        for tail, value in zip(tails[field.shape], field.ravel().tolist()):
+            yield prefix + tail % value
 
 
 def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dict,
@@ -188,7 +196,7 @@ def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dic
         (out / name).unlink(missing_ok=True)
     cfg.save(out / "config.json")
     write_csv(out / "controls.csv", ["control", "component", "i", "j", "value"],
-              _control_rows(controls))
+              _control_lines(controls), formatted=True)
     write_json(out / "basis.json", {
         "degree": basis.degree,
         "exponents": [list(e) for e in basis.exponents],

@@ -97,10 +97,13 @@ def solve_semilinear(
     nonlin: Nonlinearity,
     eps: np.ndarray,
     cfg: FixedPointConfig,
+    y0: np.ndarray = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Fixed-point solve of L y + g(y) = eps for one control or a stack.
 
-    Starts from the Poisson pair solve y0 = L^-1 eps, then repeats
+    Starts from the Poisson pair solve y0 = L^-1 eps, or from ``y0`` when
+    the caller has solved it already (in the shape of ``eps``; it is read,
+    not changed), then repeats
     L y1~ = eps1 - gamma1 G(y_l), y1_{l+1} = lambda_a*y1_l + (1-lambda_a)*y1~,
     y2_{l+1} = y0_2 - (gamma2/gamma1) (y1_{l+1} - y0_1), which is the
     coupled iteration on both components, until the update norm
@@ -116,10 +119,16 @@ def solve_semilinear(
     count = len(stack)
     ratio = nonlin.gamma2 / nonlin.gamma1
     scale = op.grid.h * np.sqrt(1.0 + ratio * ratio)
-    y0 = op.solve(stack)
-    # a finished item's state overwrites its row of y0, which only the items
-    # still iterating read
-    states = y0
+    if y0 is None:
+        y0 = op.solve(stack)
+        # a finished item's state overwrites its row of y0, which only the
+        # items still iterating read
+        states = y0
+    elif np.shape(y0) != np.shape(eps):
+        raise ValueError("y0 does not have the shape of the control")
+    else:
+        y0 = np.asarray(y0, dtype=float).reshape(stack.shape)
+        states = y0.copy()
     iterations = np.zeros(count, dtype=int)
     final = np.zeros(count)
     last_rhs = np.empty((count,) + op.grid.shape)

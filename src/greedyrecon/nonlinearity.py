@@ -111,7 +111,9 @@ class Nonlinearity:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             G = self.G(field[..., 0, :, :], field[..., 1, :, :])
-        out = np.stack([self.gamma1 * G, -self.gamma2 * G], axis=-3)
+        out = np.empty(G.shape[:-2] + (2,) + G.shape[-2:])
+        np.multiply(self.gamma1, G, out=out[..., 0, :, :])
+        np.multiply(-self.gamma2, G, out=out[..., 1, :, :])
         if not np.isfinite(out).all():
             bad = np.argwhere(~np.isfinite(out))[0]
             raise NumericalError(
@@ -167,16 +169,29 @@ class BasisCombo(Nonlinearity):
 
     def _sums(self, tables, y1, y2) -> list:
         """Each term table summed over one pair of power tables; a row's zero
-        entries add exact zeros, so each row sums as its own combo would."""
+        entries add exact zeros, so each row sums as its own combo would.
+
+        Every term ``a * y1^i1 * y2^i2`` is formed in one scratch array, in
+        that order, and added to its total.  A zeroth power is a factor of
+        exact ones, so its multiplication is skipped: the sums are
+        bit-identical to the plain per-term formula.
+        """
         shape = np.broadcast(y1, y2).shape
         p1, p2 = powers(y1, self._degrees[0]), powers(y2, self._degrees[1])
         column = (-1,) + (1,) * (len(shape) - 1) if self.coeffs.ndim == 2 else None
         sums = [np.zeros(shape) for _ in tables]
+        t = np.empty(shape)
         for total, table in zip(sums, tables):
             for a, i1, i2 in table:
                 if column:
                     a = a.reshape(column)
-                total += a * p1[i1] * p2[i2]
+                if i1 == i2 == 0:
+                    total += a
+                    continue
+                np.multiply(a, p1[i1] if i1 else p2[i2], out=t)
+                if i1 and i2:
+                    t *= p2[i2]
+                total += t
         return sums
 
     def G(self, y1, y2):

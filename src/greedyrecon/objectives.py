@@ -21,7 +21,8 @@ stops on its own test, so its state is the one a solve alone gives.
 
 The misfit keeps a one-slot cache of the forward states at the last
 evaluated point, so a value-only call followed by a gradient call at the
-same point solves the forward problems only once.
+same point solves the forward problems only once, and it solves the
+Poisson pair of its fixed controls, where every forward solve starts, once.
 """
 
 from __future__ import annotations
@@ -131,10 +132,11 @@ class SolverContext:
     def unit(self, position: int) -> BasisCombo:
         return unit_combo(self.basis, position, self.gamma1, self.gamma2)
 
-    def solve(self, nonlin, eps) -> np.ndarray:
+    def solve(self, nonlin, eps, y0=None) -> np.ndarray:
         """States for one control (2, n+1, n+1) or a stack (B, 2, n+1, n+1);
-        NumericalError unless every item converged."""
-        state, report = solve_semilinear(self.op, nonlin, eps, self.fp)
+        NumericalError unless every item converged.  ``y0``, when given, is
+        the Poisson pair solve L^-1 eps (see :func:`solve_semilinear`)."""
+        state, report = solve_semilinear(self.op, nonlin, eps, self.fp, y0)
         if not report.converged:
             raise NumericalError(
                 f"fixed-point iteration stalled at E={report.final_residual:.3e}"
@@ -150,14 +152,22 @@ def _misfit_sq(grid, diff: np.ndarray) -> float:
 def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarray:
     """sum_m <q_m, Phi_j(y_m)>_h for j < k, with Phi_j = (g1*phi_j, -g2*phi_j),
     over stacks of states and adjoints (M, 2, n+1, n+1), one monomial at a
-    time."""
+    time in one scratch array.  A zeroth power is a factor of exact ones,
+    so the product skips it."""
     y = interior(states)
     q = interior(adjoints)
     r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
     exps = [ctx.basis.exponent(j) for j in range(k)]
     p1 = powers(y[:, 0], max((e[0] for e in exps), default=0))
     p2 = powers(y[:, 1], max((e[1] for e in exps), default=0))
-    pairing = np.array([np.vdot(p1[i1] * p2[i2], r) for i1, i2 in exps])
+    t = np.empty_like(r)
+    pairing = np.empty(k)
+    for j, (i1, i2) in enumerate(exps):
+        if i1 and i2:
+            monomial = np.multiply(p1[i1], p2[i2], out=t)
+        else:
+            monomial = p2[i2] if i2 else p1[i1]
+        pairing[j] = np.vdot(monomial, r)
     return ctx.grid.h**2 * pairing
 
 
@@ -170,7 +180,9 @@ class FittingObjective:
     entry j is nu*beta_j plus the adjoint pairings of the lifted basis
     element j with each control's adjoint state, whose right-hand side
     carries the factor -2*weight.  The M controls are solved as one stack,
-    and so are their M adjoints.
+    and so are their M adjoints.  The controls never change, so their
+    Poisson pair solve L^-1 eps_m, where each fixed-point solve starts, is
+    made once, at the first evaluation.
     """
 
     def __init__(self, ctx: SolverContext, controls, targets, nu: float,
@@ -188,12 +200,15 @@ class FittingObjective:
         # method, so no reference cycle keeps the states alive
         self._key = None
         self._solved = None
+        self._y0 = None
 
     def _solve(self, beta: np.ndarray):
         key = beta.tobytes()
         if key != self._key:
             combo = self.ctx.combo(beta)
-            self._solved = combo, self.ctx.solve(combo, self.controls)
+            if self._y0 is None:
+                self._y0 = self.ctx.op.solve(self.controls)
+            self._solved = combo, self.ctx.solve(combo, self.controls, self._y0)
             self._key = key
         return self._solved
 

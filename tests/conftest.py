@@ -31,6 +31,20 @@ def random_control(grid, rng, lo=-1.0, hi=1.0):
     return field
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def signed_zeros(rng, values, share=0.25):
+    """``values`` with a random share of entries set to +0.0 or -0.0."""
+    out = values.copy()
+    hit = rng.random(out.shape) < share
+    out[hit] = np.where(rng.random(out.shape) < 0.5, 0.0, -0.0)[hit]
+    return out
+
+
 def constant_control(grid, pair):
     field = np.zeros((2,) + grid.shape)
     field[0, 1:-1, 1:-1] = pair[0]

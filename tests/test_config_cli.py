@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greedyrecon import cli
 from greedyrecon.cli import main
 from greedyrecon.config import ConfigError, ExperimentConfig, build_context, greedy_config
 from greedyrecon.forward import FixedPointConfig
@@ -505,6 +506,23 @@ class TestDeterminism:
                              "error_field.csv", "taylor.csv")
             }
         assert outputs["one"] == outputs["two"]
+
+    def test_control_lines_equal_every_field_at_17_digits(self, tmp_path):
+        rng = np.random.default_rng(11)
+        controls = [np.zeros((2, 9, 9)) for _ in range(12)]
+        for c in controls:
+            c[:, 1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (2, 7, 7))
+        controls[3][0, 2, 2], controls[4][1, 5, 1] = -0.0, 1e-300
+        controls[11][1, 7, 7] = 3.0
+        header = ["control", "component", "i", "j", "value"]
+        cli.write_csv(tmp_path / "fast.csv", header, cli._control_lines(controls),
+                      formatted=True)
+        rows = [(m, comp, i, j, float(c[comp, i, j])) for m, c in enumerate(controls)
+                for comp, i, j in np.ndindex(c.shape)]
+        cli.write_csv(tmp_path / "plain.csv", header, rows)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "plain.csv").read_bytes()
+        assert b"\n3,0,2,2,-0\n" in fast and b"\n11,1,7,7,3\n" in fast
 
     def test_seed_override_changes_baseline(self, tmp_path):
         art1, art2 = tmp_path / "a", tmp_path / "b"

@@ -176,6 +176,31 @@ gammas = st.tuples(st.floats(0.05, 3.0), st.floats(0.2, 1.0)).map(
     lambda t: (t[0], t[0] * t[1]))
 
 
+class TestGivenPoissonPair:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_given_y0_gives_the_same_bits_and_stays_unchanged(self, stacked):
+        op = NegLaplacian(Grid(12, 1.0))
+        rng = np.random.default_rng(21)
+        eps = np.stack([random_control(op.grid, rng) for _ in range(3)])
+        eps = eps if stacked else eps[0]
+        basis = MonomialBasis(2)
+        combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=rng.uniform(0.0, 0.3, basis.size))
+        cfg = FixedPointConfig(lambda_a=0.2)
+        y, report = solve_semilinear(op, combo, eps, cfg)
+        y0 = op.solve(eps)
+        kept = y0.copy()
+        again, again_report = solve_semilinear(op, combo, eps, cfg, y0)
+        assert again.tobytes() == y.tobytes() and again.shape == y.shape
+        assert np.array_equal(again_report.item_iterations, report.item_iterations)
+        assert y0.tobytes() == kept.tobytes()
+
+    def test_y0_must_have_the_shape_of_the_control(self):
+        op = NegLaplacian(Grid(6, 1.0))
+        eps = np.zeros((2, 2) + op.grid.shape)
+        with pytest.raises(ValueError, match="shape"):
+            solve_semilinear(op, zero_combo(), eps, FixedPointConfig(), op.solve(eps[0]))
+
+
 def coupled_fixed_point(op, nonlin, eps, cfg):
     """Reference: the relaxed fixed point on both components of one item,
     L y~ = eps - g(y_l), with the coupled update norm h*||y_{l+1} - y_l||."""

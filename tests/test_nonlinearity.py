@@ -14,6 +14,8 @@ from greedyrecon import (
 )
 from greedyrecon.nonlinearity import powers
 
+from conftest import same_bits, signed_zeros
+
 
 class TestBasisEnumeration:
     def test_paper_cardinality(self):
@@ -240,6 +242,61 @@ class TestStackedRows:
             BasisCombo(0.2, 0.2, basis=MonomialBasis(1), coeffs=np.zeros((2, 4)))
         with pytest.raises(ValueError):
             BasisCombo(0.2, 0.2, basis=MonomialBasis(1), coeffs=np.zeros((2, 2, 2)))
+
+
+def per_term_sums(combo, tables, y1, y2):
+    """Each table summed one full product ``a * y1^i1 * y2^i2`` at a time,
+    zeroth powers included: the reference for BasisCombo._sums."""
+    shape = np.broadcast(y1, y2).shape
+    p1, p2 = powers(y1, combo._degrees[0]), powers(y2, combo._degrees[1])
+    column = (-1,) + (1,) * (len(shape) - 1) if combo.coeffs.ndim == 2 else None
+    sums = [np.zeros(shape) for _ in tables]
+    for total, table in zip(sums, tables):
+        for a, i1, i2 in table:
+            if column:
+                a = a.reshape(column)
+            total += a * p1[i1] * p2[i2]
+    return sums
+
+
+def stacked_lift(nonlin, field):
+    """Reference for Nonlinearity.g: both components stacked from products."""
+    G = nonlin.G(field[..., 0, :, :], field[..., 1, :, :])
+    return np.stack([nonlin.gamma1 * G, -nonlin.gamma2 * G], axis=-3)
+
+
+class TestScratchSums:
+    @settings(max_examples=80, deadline=None)
+    @given(degree=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(0, 3), size=st.integers(0, 21), shuffle=st.booleans())
+    def test_G_dG_and_lift_equal_per_term_formulas_bit_for_bit(
+            self, degree, seed, rows, size, shuffle):
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(degree)
+        if shuffle:
+            basis = MonomialBasis(degree, rng.permutation(basis.size))
+        k = min(size, basis.size)
+        # rows == 0 draws one coefficient vector shared by every item
+        shape = (rows, k) if rows else (k,)
+        coeffs = signed_zeros(rng, rng.uniform(-1.0, 1.0, shape), share=0.3)
+        if k:
+            coeffs[..., rng.random(k) < 0.3] = 0.0
+        combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
+        field = signed_zeros(rng, rng.uniform(-2.0, 2.0, (max(rows, 1), 2, 4, 5)))
+        y1, y2 = field[:, 0], field[:, 1]
+        ref_G, ref_d1, ref_d2 = per_term_sums(combo, combo._tables, y1, y2)
+        assert same_bits(combo.G(y1, y2), ref_G)
+        d1, d2 = combo.dG(y1, y2)
+        assert same_bits(d1, ref_d1) and same_bits(d2, ref_d2)
+        assert same_bits(combo.g(field), stacked_lift(combo, field))
+
+    def test_lift_of_closed_forms_equals_stacked_products(self):
+        rng = np.random.default_rng(8)
+        field = signed_zeros(rng, rng.uniform(-1.0, 1.0, (3, 2, 5, 5)))
+        for kind in ("bilinear", "sinusoidal", "exponential"):
+            g = ClosedForm(0.3, 0.2, kind=kind)
+            assert same_bits(g.g(field), stacked_lift(g, field))
+            assert same_bits(g.g(field[0]), stacked_lift(g, field[0]))
 
 
 class TestPermutationSafety:

@@ -3,20 +3,25 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedyrecon import (
     ControlBox,
     DiscriminationObjective,
     FittingObjective,
     IdentificationObjective,
+    MonomialBasis,
+    NegLaplacian,
     SolverContext,
     control_to_vec,
     generate_data,
     project_box,
     vec_to_control,
 )
+from greedyrecon.nonlinearity import powers
+from greedyrecon.objectives import _coeff_misfit_grad
 
-from conftest import make_context, random_control
+from conftest import make_context, random_control, same_bits, signed_zeros
 
 
 @pytest.fixture(scope="module")
@@ -277,9 +282,9 @@ class TestStateCache:
         solves = []
         solve = SolverContext.solve
 
-        def counting(self, nonlin, eps):
+        def counting(self, nonlin, eps, *args):
             solves.append(len(eps))
-            return solve(self, nonlin, eps)
+            return solve(self, nonlin, eps, *args)
 
         monkeypatch.setattr(SolverContext, "solve", counting)
         beta = np.full(6, 0.1)
@@ -290,3 +295,67 @@ class TestStateCache:
         assert again.value == first.value
         obj(beta + 0.01, need_grad=False)
         assert solves == [2, 2]
+
+
+def per_term_pairing(ctx, states, adjoints, k):
+    """Reference for _coeff_misfit_grad: each monomial a full product,
+    zeroth powers included."""
+    y = states[..., 1:-1, 1:-1]
+    q = adjoints[..., 1:-1, 1:-1]
+    r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
+    exps = [ctx.basis.exponent(j) for j in range(k)]
+    p1 = powers(y[:, 0], max((e[0] for e in exps), default=0))
+    p2 = powers(y[:, 1], max((e[1] for e in exps), default=0))
+    return ctx.grid.h**2 * np.array([np.vdot(p1[i1] * p2[i2], r) for i1, i2 in exps])
+
+
+class TestMisfitPairing:
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 5), n=st.integers(2, 9), count=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+    def test_pairing_equals_per_term_formula_bit_for_bit(self, degree, n, count,
+                                                          seed, shuffle):
+        rng = np.random.default_rng(seed)
+        ctx = make_context(n=n, degree=degree)
+        if shuffle:
+            basis = MonomialBasis(degree, rng.permutation(ctx.basis.size))
+            ctx = SolverContext(ctx.op, basis, ctx.gamma1, ctx.gamma2, ctx.fp)
+        states = signed_zeros(rng, rng.uniform(-2.0, 2.0, (count, 2) + ctx.grid.shape))
+        adjoints = signed_zeros(rng, rng.uniform(-1.0, 1.0, states.shape))
+        for k in range(ctx.basis.size + 1):
+            assert same_bits(_coeff_misfit_grad(ctx, states, adjoints, k),
+                             per_term_pairing(ctx, states, adjoints, k))
+
+
+class TestCachedPoissonPair:
+    @pytest.mark.parametrize("kind", [FittingObjective, IdentificationObjective])
+    def test_same_bits_as_uncached_solves_and_one_poisson_pair(self, ctx, kind,
+                                                               monkeypatch):
+        rng = np.random.default_rng(17)
+        controls = [random_control(ctx.grid, rng) for _ in range(3)]
+        data = generate_data(ctx.combo(rng.uniform(0.0, 0.3, 6)), controls, ctx)
+        points = [rng.uniform(0.0, 0.4, 6) for _ in range(3)]
+        args = (ctx, controls, data) + ((1e-4,) if kind is FittingObjective else ())
+        solve = SolverContext.solve
+        with monkeypatch.context() as patch:
+            # the reference: every fixed-point solve makes its own Poisson pair
+            patch.setattr(SolverContext, "solve",
+                          lambda self, nonlin, eps, y0=None: solve(self, nonlin, eps))
+            uncached = kind(*args)
+            ref = [uncached(beta) for beta in points]
+        poisson = NegLaplacian.solve
+        pairs = []
+
+        def counting(op, rhs):
+            if np.ndim(rhs) == 4:
+                pairs.append(len(rhs))
+            return poisson(op, rhs)
+
+        monkeypatch.setattr(NegLaplacian, "solve", counting)
+        obj = kind(*args)
+        for beta, want in zip(points, ref):
+            got = obj(beta)
+            assert same_bits(got.value, want.value) and same_bits(got.grad, want.grad)
+            assert same_bits(obj(beta, need_grad=False).value, want.value)
+        assert pairs == [len(controls)]
+        assert same_bits(obj.controls, np.stack(controls))
