@@ -170,14 +170,32 @@ class NegLaplacian:
         return out
 
     def apply_interior(self, u: np.ndarray) -> np.ndarray:
-        """Stencil action on interior values (..., m, m) with zero Dirichlet data."""
-        out = 4.0 * u
-        out[..., 1:, :] -= u[..., :-1, :]
-        out[..., :-1, :] -= u[..., 1:, :]
-        out[..., :, 1:] -= u[..., :, :-1]
-        out[..., :, :-1] -= u[..., :, 1:]
-        out /= self.grid.h**2
-        return out
+        """Stencil action on interior values (..., m, m) with zero Dirichlet data.
+
+        ``u`` is copied into a zero-ringed buffer (..., m+2, m+2), and the
+        stencil runs on its flat form over five contiguous slices,
+        ``4 f[c] - f[c-w] - f[c+w] - f[c-1] - f[c+1]`` with row width w,
+        before the division by h^2.  A missing neighbour is a subtraction
+        of +0.0, which leaves every value as it is (-0.0, infinities and
+        NaN included), so each node gets the bits of the plain stencil that
+        skips it.  Returns the interior of the result, a strided view.
+        """
+        w = u.shape[-1] + 2
+        pad = np.zeros(u.shape[:-2] + (u.shape[-2] + 2, w))
+        pad[..., 1:-1, 1:-1] = u
+        f = pad.reshape(-1)
+        end = f.size - w
+        out = np.empty_like(pad)
+        # every index c in [w, end) has all four neighbours in f; the ring
+        # entries computed alongside are never read
+        c = out.reshape(-1)[w:end]
+        np.multiply(4.0, f[w:end], out=c)
+        c -= f[:end - w]
+        c -= f[2 * w:]
+        c -= f[w - 1:end - 1]
+        c -= f[w + 1:end + 1]
+        c /= self.grid.h**2
+        return out[..., 1:-1, 1:-1]
 
     def inverse_interior(self, b: np.ndarray) -> np.ndarray:
         """Exact sine-transform solve on interior values (..., m, m), unchecked."""

@@ -12,7 +12,7 @@ built in, and a combo the terms it was built with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -102,12 +102,14 @@ class Nonlinearity:
         every item returns itself."""
         return self
 
-    def g(self, field: np.ndarray) -> np.ndarray:
+    def g(self, field: np.ndarray, origin: tuple = (0, 0)) -> np.ndarray:
         """Lifted reaction term evaluated nodally on a 2-component field
         (..., 2, n, n); leading axes index stack items.
 
         Raises NumericalError with the offending node if any output is
-        non-finite (e.g. overflow of the exponential target).
+        non-finite (e.g. overflow of the exponential target).  ``origin`` is
+        the grid index (i, j) of the field's first node, (1, 0) for grid
+        rows 1..n-1, so that the error names the grid node.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             G = self.G(field[..., 0, :, :], field[..., 1, :, :])
@@ -118,7 +120,7 @@ class Nonlinearity:
             bad = np.argwhere(~np.isfinite(out))[0]
             raise NumericalError(
                 f"non-finite nonlinearity value at component {bad[-3]}, "
-                f"node ({bad[-2]}, {bad[-1]})"
+                f"node ({bad[-2] + origin[0]}, {bad[-1] + origin[1]})"
             )
         return out
 
@@ -155,17 +157,33 @@ class BasisCombo(Nonlinearity):
         # coefficient j, or its column over stacked rows
         used = np.flatnonzero(np.any(np.atleast_2d(c) != 0.0, axis=0))
         terms = [(c.T[j], *self.basis.exponent(j)) for j in used]
-        object.__setattr__(self, "_tables", (
+        self._set_terms([_table(t, c.shape[:-1]) for t in (
             terms,
             [(a * i1, i1 - 1, i2) for a, i1, i2 in terms if i1 > 0],
-            [(a * i2, i1, i2 - 1) for a, i1, i2 in terms if i2 > 0]))
+            [(a * i2, i1, i2 - 1) for a, i1, i2 in terms if i2 > 0])])
+
+    def _set_terms(self, tables):
+        object.__setattr__(self, "_tables", tuple(tables))
         object.__setattr__(self, "_degrees", tuple(
-            max((t[k] for t in terms), default=0) for k in (1, 2)))
+            max((e[k] for e in tables[0][1]), default=0) for k in (0, 1)))
 
     def rows(self, index) -> "BasisCombo":
+        """The combo of the stacked rows at ``index``, cut from this one's
+        term tables without rebuilding them: each term keeps its column's
+        entries at ``index``, and a term left with only zeros is dropped, as
+        a combo built from those rows would drop it."""
         if self.coeffs.ndim == 1:
             return self
-        return replace(self, coeffs=self.coeffs[index])
+        tables = []
+        for a, exps in self._tables:
+            a = a[:, index]
+            used = np.flatnonzero(np.any(a != 0.0, axis=1))
+            tables.append((a[used], [exps[t] for t in used]))
+        # a copy that shares basis and gammas; __post_init__ is not run
+        sub = object.__new__(type(self))
+        sub.__dict__.update(vars(self), coeffs=self.coeffs[index])
+        sub._set_terms(tables)
+        return sub
 
     def _sums(self, tables, y1, y2) -> list:
         """Each term table summed over one pair of power tables; a row's zero
@@ -173,16 +191,17 @@ class BasisCombo(Nonlinearity):
 
         Every term ``a * y1^i1 * y2^i2`` is formed in one scratch array, in
         that order, and added to its total.  A zeroth power is a factor of
-        exact ones, so its multiplication is skipped: the sums are
-        bit-identical to the plain per-term formula.
+        exact ones, so its multiplication is skipped and no array of ones
+        is built: the sums are bit-identical to the plain per-term formula.
         """
         shape = np.broadcast(y1, y2).shape
-        p1, p2 = powers(y1, self._degrees[0]), powers(y2, self._degrees[1])
+        p1 = powers(y1, self._degrees[0], zeroth=False)
+        p2 = powers(y2, self._degrees[1], zeroth=False)
         column = (-1,) + (1,) * (len(shape) - 1) if self.coeffs.ndim == 2 else None
         sums = [np.zeros(shape) for _ in tables]
         t = np.empty(shape)
-        for total, table in zip(sums, tables):
-            for a, i1, i2 in table:
+        for total, (coeffs, exps) in zip(sums, tables):
+            for a, (i1, i2) in zip(coeffs, exps):
                 if column:
                     a = a.reshape(column)
                 if i1 == i2 == 0:
@@ -201,10 +220,18 @@ class BasisCombo(Nonlinearity):
         return tuple(self._sums(self._tables[1:], y1, y2))
 
 
-def powers(y, degree: int) -> list:
-    """Powers [y^0, ..., y^degree] of an array, by repeated multiplication."""
+def _table(terms, rows: tuple) -> tuple:
+    """(coefficients, exponents) of a list of (a, i1, i2) terms: row t of the
+    coefficient array is term t's coefficient, or its column over ``rows``."""
+    coeffs = np.array([a for a, _, _ in terms], dtype=float)
+    return coeffs.reshape((len(terms),) + rows), [(i1, i2) for _, i1, i2 in terms]
+
+
+def powers(y, degree: int, zeroth: bool = True) -> list:
+    """Powers [y^0, ..., y^degree] of an array, by repeated multiplication;
+    with ``zeroth=False`` entry 0 is None instead of an array of ones."""
     y = np.asarray(y, dtype=float)
-    table = [np.ones_like(y)]
+    table = [np.ones_like(y) if zeroth else None]
     if degree >= 1:
         table.append(y)
     for _ in range(degree - 1):

@@ -154,7 +154,7 @@ def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarr
     over stacks of states and adjoints (M, 2, n+1, n+1), one monomial at a
     time in one scratch array.  A zeroth power is a factor of exact ones,
     so the product skips it."""
-    y = interior(states)
+    y = np.ascontiguousarray(interior(states))
     q = interior(adjoints)
     r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
     exps = [ctx.basis.exponent(j) for j in range(k)]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,10 @@ from greedyrecon import (
     solve_adjoint,
     solve_semilinear,
 )
-from greedyrecon.forward import coupled_linear_matrix
+from greedyrecon.forward import _item_dots, coupled_linear_matrix
 from greedyrecon.grid import inner_l2
 
-from conftest import kappa, random_control
+from conftest import kappa, random_control, same_bits
 
 
 def zero_combo(degree=2):
@@ -332,6 +333,110 @@ class TestReducedFixedPoint:
                 solve_semilinear(op, nonlin, eps[items], FixedPointConfig())
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def full_field_fixed_point(op, nonlin, eps, cfg):
+    """Reference: the stacked reduced fixed point with g evaluated on the
+    full fields, boundary ring included, and the rhs ring holding
+    eps1 - gamma1 G(0, 0).  Returns the states, each item's iteration count,
+    its last update norm and the history, as solve_semilinear reports them."""
+    stack = eps if eps.ndim == 4 else eps[None]
+    count = len(stack)
+    ratio = nonlin.gamma2 / nonlin.gamma1
+    scale = op.grid.h * np.sqrt(1.0 + ratio * ratio)
+    y0 = op.solve(stack)
+    states = y0
+    iterations, final, history = np.zeros(count, dtype=int), np.zeros(count), []
+    items, item_nonlin = np.arange(count), nonlin
+    y, eps1, base = y0.copy(), stack[:, 0], y0
+    for ell in range(1, cfg.ell_max + 1):
+        rhs = eps1 - item_nonlin.g(y)[:, 0]
+        sol = op.solve(rhs)
+        y1 = cfg.lambda_a * y[:, 0] + (1.0 - cfg.lambda_a) * sol
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = y1 - y[:, 0]
+            err = scale * np.sqrt(_item_dots(step, step))
+        if not np.isfinite(err).all():
+            raise NumericalError(f"fixed-point iterate blew up at iteration {ell}")
+        history.append(float(err.max()))
+        y[:, 0] = y1
+        y[:, 1] = base[:, 1] - ratio * (y1 - base[:, 0])
+        done = (err <= cfg.tol2) | (ell == cfg.ell_max)
+        if done.any():
+            stopped = items[done]
+            states[stopped] = y[done]
+            iterations[stopped] = ell
+            final[stopped] = err[done]
+            if done.all():
+                break
+            going = ~done
+            items, y, eps1, base = items[going], y[going], eps1[going], base[going]
+            item_nonlin = nonlin.rows(items)
+    return (states if eps.ndim == 4 else states[0]), iterations, final, history
+
+
+class TestInteriorNonlinearity:
+    """solve_semilinear evaluates g on grid rows 1..n-1 only; every state,
+    count and norm keeps the bits of the loop that evaluated it everywhere."""
+
+    def assert_same_solve(self, op, nonlin, eps, cfg):
+        y, report = solve_semilinear(op, nonlin, eps, cfg)
+        ref, iterations, final, history = full_field_fixed_point(op, nonlin, eps, cfg)
+        assert same_bits(y, ref)
+        assert np.array_equal(report.item_iterations, iterations)
+        assert report.final_residual == float(np.max(final))
+        assert report.residual_history == history
+        return report
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 20), nonlin=forward_nonlinearities,
+           lam=st.sampled_from([0.0, 0.5]), items=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_full_field_loop(self, n, nonlin, lam, items, seed):
+        op = NegLaplacian(Grid(n, 1.0))
+        rng = np.random.default_rng(seed)
+        eps = np.stack([random_control(op.grid, rng) for _ in range(items)])
+        cfg = FixedPointConfig(lambda_a=lam)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                full_field_fixed_point(op, nonlin, eps, cfg)
+        except NumericalError as exc:
+            # a draw outside the monotone class fails the same way in both
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                    solve_semilinear(op, nonlin, eps, cfg)
+            return
+        self.assert_same_solve(op, nonlin, eps, cfg)
+        self.assert_same_solve(op, nonlin, eps[0], cfg)
+
+    def test_constant_term_and_a_stack_that_compacts(self):
+        op = NegLaplacian(Grid(16, 1.0))
+        basis = MonomialBasis(3)
+        rng = np.random.default_rng(31)
+        controls = np.stack([s * random_control(op.grid, rng) for s in (0.0, 0.05, 1.0, 3.0)])
+        # the constant term made the old rhs ring -gamma1*a00, which no
+        # solve read
+        shared = BasisCombo(1.0, 0.1, basis=basis, coeffs=np.r_[0.02, rng.uniform(0, 1, 9)])
+        stacked = stacked_pair(basis, [[0.5, 0.3], [0, 0, 1.0], [], np.r_[-0.2, np.ones(9)]],
+                               1.0, 0.1)
+        for nonlin in (shared, stacked):
+            report = self.assert_same_solve(op, nonlin, controls, FixedPointConfig())
+            # items stop at different loops, so the stack compacts
+            assert len(set(report.item_iterations)) > 1
+
+    def test_overflow_names_the_same_grid_node(self):
+        op = NegLaplacian(Grid(8, 1.0))
+        nonlin = ClosedForm(0.2, 0.2, kind="exponential")
+        eps = np.zeros((3, 2) + op.grid.shape)
+        eps[1, :, 1:-1, 1:-1] = 0.5
+        eps[2, :, 1:-1, 1:-1] = 60.0
+        messages = []
+        for solve in (solve_semilinear, full_field_fixed_point):
+            with pytest.raises(NumericalError, match=r"component \d, node \(\d, \d\)") as info:
+                solve(op, nonlin, eps, FixedPointConfig())
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "node (0" not in messages[0] and ", 0)" not in messages[0]
 
 
 class TestSolveAdjoint:

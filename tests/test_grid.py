@@ -16,7 +16,7 @@ from greedyrecon import (
 )
 from greedyrecon.grid import DENSE_SINE_MAX_N, interior
 
-from conftest import kappa
+from conftest import kappa, same_bits, signed_zeros
 
 
 class TestGrid:
@@ -190,6 +190,57 @@ class TestLinearSolve:
         # summation order differs, so the slack is roundoff of the 5 terms
         scale = 8.0 * np.abs(u).max() / g.h**2
         assert np.abs(op.apply_interior(u) - ref).max() <= 1e-15 * scale
+
+
+def slice_update_stencil(op, u):
+    """Reference for NegLaplacian.apply_interior: 4u, then one in-place
+    subtraction per neighbour on the strided sub-block that has it."""
+    out = 4.0 * u
+    out[..., 1:, :] -= u[..., :-1, :]
+    out[..., :-1, :] -= u[..., 1:, :]
+    out[..., :, 1:] -= u[..., :, :-1]
+    out[..., :, :-1] -= u[..., :, 1:]
+    out /= op.grid.h**2
+    return out
+
+
+class TestFlatStencil:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), lead=st.sampled_from([(), (2,), (3, 2)]),
+           strided=st.booleans(), specials=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, lead=(3, 2), strided=True, specials=1, seed=0)
+    @example(n=2, lead=(), strided=False, specials=0, seed=1)
+    @example(n=40, lead=(2,), strided=True, specials=4, seed=2)
+    def test_bit_identical_to_slice_updates(self, n, lead, strided, specials, seed):
+        rng = np.random.default_rng(seed)
+        op = NegLaplacian(Grid(n, 1.3))
+        full = signed_zeros(rng, rng.standard_normal(lead + (n + 1, n + 1)))
+        # infinities and NaNs on a 2 x 2 block of nodes, so that neighbours
+        # meet: inf - inf is NaN in both stencils
+        flat = full.reshape(-1)
+        block = rng.integers(0, flat.size) + np.array([0, 1, n + 1, n + 2])
+        block = block[block < flat.size][:specials]
+        flat[block] = rng.choice([np.inf, -np.inf, np.nan], block.size)
+        u = interior(full) if strided else np.ascontiguousarray(interior(full))
+        kept = u.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = op.apply_interior(u)
+            ref = slice_update_stencil(op, u)
+        assert same_bits(got, ref)
+        assert same_bits(u, kept)
+
+    def test_every_mesh_from_one_interior_node(self):
+        rng = np.random.default_rng(7)
+        for n in range(2, 41):
+            op = NegLaplacian(Grid(n, 1.0))
+            for lead in ((), (2,), (4, 2)):
+                full = signed_zeros(rng, rng.uniform(-1.0, 1.0, lead + (n + 1, n + 1)))
+                for u in (interior(full), np.ascontiguousarray(interior(full))):
+                    assert same_bits(op.apply_interior(u), slice_update_stencil(op, u))
+                ref = np.zeros_like(full)
+                ref[..., 1:-1, 1:-1] = slice_update_stencil(op, interior(full))
+                assert same_bits(op.apply(full), ref)
 
 
 class TestNorms:

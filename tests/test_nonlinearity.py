@@ -244,6 +244,73 @@ class TestStackedRows:
             BasisCombo(0.2, 0.2, basis=MonomialBasis(1), coeffs=np.zeros((2, 2, 2)))
 
 
+class TestRowsFromTables:
+    @settings(max_examples=80, deadline=None)
+    @given(degree=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 5), size=st.integers(0, 21), specials=st.booleans())
+    def test_rows_equal_a_combo_built_from_them_bit_for_bit(
+            self, degree, seed, rows, size, specials):
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(degree, rng.permutation(MonomialBasis(degree).size))
+        k = min(size, basis.size)
+        coeffs = signed_zeros(rng, rng.uniform(-1.0, 1.0, (rows, k)), share=0.3)
+        # columns that are zero on some rows only, so that some index sets
+        # zero them out whole
+        coeffs[rng.random((rows, k)) < 0.4] = 0.0
+        combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
+        index = np.sort(rng.choice(rows, rng.integers(1, rows + 1), replace=False))
+        field = signed_zeros(rng, rng.uniform(-2.0, 2.0, (len(index), 2, 3, 4)))
+        if specials:
+            # 0 * inf is NaN: a dropped term must be one a built combo drops
+            field[0, :, 0, 0] = [np.inf, -np.inf]
+        y1, y2 = field[:, 0], field[:, 1]
+        cut, built = combo.rows(index), BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs[index])
+        assert same_bits(cut.coeffs, built.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(cut.G(y1, y2), built.G(y1, y2))
+            for got, ref in zip(cut.dG(y1, y2), built.dG(y1, y2)):
+                assert same_bits(got, ref)
+        if not specials:
+            assert same_bits(cut.g(field), built.g(field))
+        assert cut._degrees == built._degrees
+        assert [e for _, e in cut._tables] == [e for _, e in built._tables]
+
+    def test_index_set_that_zeros_whole_columns(self):
+        basis = MonomialBasis(2)
+        coeffs = np.array([[0.0, 1.0, 0.0, 2.0, 0.0, -0.0],
+                           [3.0, 0.0, -0.0, 0.0, 4.0, 5.0],
+                           [0.0, 6.0, 0.0, -0.0, 0.0, 0.0]])
+        combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
+        cut = combo.rows([0, 2])
+        # only y1 (position 1) and y1*y2 (position 3) are left
+        assert cut._tables[0][1] == [basis.exponent(1), basis.exponent(3)]
+        assert cut._degrees == (1, 1)
+        y = np.array([[[np.inf]], [[1.5]]])
+        with np.errstate(invalid="ignore"):
+            assert same_bits(cut.G(y, -y), BasisCombo(
+                0.3, 0.2, basis=basis, coeffs=coeffs[[0, 2]]).G(y, -y))
+
+    def test_rows_never_rebuilds_the_terms(self, monkeypatch):
+        combo = BasisCombo(0.3, 0.2, basis=MonomialBasis(3),
+                           coeffs=np.random.default_rng(2).uniform(0, 1, (4, 10)))
+        calls = []
+        monkeypatch.setattr(BasisCombo, "__post_init__", lambda self: calls.append(self))
+        cut = combo.rows(np.array([3, 1]))
+        again = cut.rows([1])
+        assert calls == []
+        assert type(cut) is BasisCombo and cut.basis is combo.basis
+        assert (cut.gamma1, cut.gamma2) == (combo.gamma1, combo.gamma2)
+        assert same_bits(again.coeffs, combo.coeffs[[1]])
+        assert same_bits(combo.coeffs, np.random.default_rng(2).uniform(0, 1, (4, 10)))
+
+    def test_power_table_without_zeroth_power(self):
+        y = np.array([[2.0, -0.0], [np.inf, 0.5]])
+        full, cut = powers(y, 4), powers(y, 4, zeroth=False)
+        assert cut[0] is None and len(cut) == len(full) == 5
+        assert all(same_bits(a, b) for a, b in zip(full[1:], cut[1:]))
+        assert powers(y, 0, zeroth=False) == [None]
+
+
 def per_term_sums(combo, tables, y1, y2):
     """Each table summed one full product ``a * y1^i1 * y2^i2`` at a time,
     zeroth powers included: the reference for BasisCombo._sums."""
@@ -251,8 +318,8 @@ def per_term_sums(combo, tables, y1, y2):
     p1, p2 = powers(y1, combo._degrees[0]), powers(y2, combo._degrees[1])
     column = (-1,) + (1,) * (len(shape) - 1) if combo.coeffs.ndim == 2 else None
     sums = [np.zeros(shape) for _ in tables]
-    for total, table in zip(sums, tables):
-        for a, i1, i2 in table:
+    for total, (coeffs, exps) in zip(sums, tables):
+        for a, (i1, i2) in zip(coeffs, exps):
             if column:
                 a = a.reshape(column)
             total += a * p1[i1] * p2[i2]
