@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import NumericalError
 # not called here; perfbench's tracer test checks this module's binding of it
 from .forward import solve_semilinear  # noqa: F401
-from .grid import Grid, h1_norm, laplace_norm
+from .grid import Grid, h1_norm, laplace_norm, set_boundary_zero
 from .greedy import STAGE_IDENTIFY, stage_rng
 from .nonlinearity import MonomialBasis, Nonlinearity
 from .objectives import ControlBox, IdentificationObjective, SolverContext, constant_control
@@ -148,24 +148,17 @@ def constructed_control(eta: float, theta: float, gamma1: float, gamma2: float,
     kappa is the product-of-sines first Dirichlet mode of (-X, X)^2, with
     X = grid.x_max and eigenvalue pi^2/(2 X^2); the control is the residual
     of that ansatz in the coupled system with interaction 0.05*y1*y2,
-    sampled nodally.
+    sampled nodally with the boundary ring pinned to zero.
     """
     X = grid.x_max
     lam = np.pi**2 / (2.0 * X**2)
-
-    def kappa(x1, x2):
-        return (np.sin((x1 + X) * np.pi / (2.0 * X))
-                * np.sin((x2 + X) * np.pi / (2.0 * X)))
-
-    def eps1(x1, x2):
-        k = kappa(x1, x2)
-        return eta * lam * k - 0.05 * gamma1 * eta * theta * k**2
-
-    def eps2(x1, x2):
-        k = kappa(x1, x2)
-        return -theta * lam * k + 0.05 * gamma2 * eta * theta * k**2
-
-    return grid.sample_field(eps1, eps2)
+    x1, x2 = grid.meshgrid()
+    k = np.sin((x1 + X) * np.pi / (2.0 * X)) * np.sin((x2 + X) * np.pi / (2.0 * X))
+    k2 = k**2
+    eps = np.stack([eta * lam * k - 0.05 * gamma1 * eta * theta * k2,
+                    -theta * lam * k + 0.05 * gamma2 * eta * theta * k2])
+    set_boundary_zero(eps)
+    return eps
 
 
 def random_constant_controls(count: int, box: ControlBox, grid: Grid,

@@ -175,16 +175,22 @@ ARTIFACTS = ("greedy.json", "identified.csv", "identify.json", "error_field.csv"
 def _control_lines(controls):
     """The ``control,component,i,j,value`` line of every node of every
     control in index order, as write_csv formats it.  The ``component,i,j``
-    part is formatted once per grid shape; a line adds its control's prefix
-    and formats only its value, a Python float."""
+    part is formatted once per grid shape, and each distinct value once per
+    control: the cache keys on the value and its sign, since -0.0 == 0.0
+    but prints as -0."""
     tails = {}
     for m, field in enumerate(controls):
         if field.shape not in tails:
             nodes = np.indices(field.shape).reshape(field.ndim, -1).T.tolist()
-            tails[field.shape] = ["%d,%d,%d,%%.17g\n" % tuple(node) for node in nodes]
+            tails[field.shape] = ["%d,%d,%d," % tuple(node) for node in nodes]
+        texts = {}
         prefix = f"{m},"
         for tail, value in zip(tails[field.shape], field.ravel().tolist()):
-            yield prefix + tail % value
+            key = (value, math.copysign(1.0, value))
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = "%.17g\n" % value
+            yield prefix + tail + text
 
 
 def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dict,

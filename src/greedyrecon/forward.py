@@ -108,7 +108,9 @@ def solve_semilinear(
     y2_{l+1} = y0_2 - (gamma2/gamma1) (y1_{l+1} - y0_1), which is the
     coupled iteration on both components, until the update norm
     E = h*||y1_{l+1} - y1_l||_2 * sqrt(1 + (gamma2/gamma1)^2) (the coupled
-    update norm) drops to tol2 or ell_max is hit, per item.  Returns the
+    update norm) drops to tol2 or ell_max is hit, per item.  At lambda_a = 0
+    the new y1 is the solve y1~ itself unless that holds a -0.0, which the
+    formula can turn to +0.0, and y2 is written in place.  Returns the
     states in the shape of ``eps`` with a report; non-convergence is the
     caller's decision.  G is evaluated on grid rows 1..n-1 only, one
     contiguous block per item and component, and ``eps1 - gamma1 G`` is
@@ -130,15 +132,10 @@ def solve_semilinear(
     scale = op.grid.h * np.sqrt(1.0 + ratio * ratio)
     if y0 is None:
         y0 = op.solve(stack)
-        # a finished item's state overwrites its row of y0, which only the
-        # items still iterating read
-        states = y0
     elif np.shape(y0) != np.shape(eps):
         raise ValueError("y0 does not have the shape of the control")
     else:
         y0 = np.asarray(y0, dtype=float).reshape(stack.shape)
-        # each item's row is written when it stops, and every item stops
-        states = np.empty(stack.shape)
     iterations = np.zeros(count, dtype=int)
     final = np.zeros(count)
     last_rhs = np.empty((count,) + op.grid.shape)
@@ -149,13 +146,19 @@ def solve_semilinear(
     # the items still iterating, compacted to the front of each working array
     items, item_nonlin = np.arange(count), nonlin
     y, eps1, base = y0.copy(), stack[:, 0, 1:-1], y0
+    # stopping items write their rows of this first y; the rest go on in a copy
+    states = y
     for ell in range(1, cfg.ell_max + 1):
         # g on grid rows 1..n-1: one contiguous block per item and component
         G1 = item_nonlin.g(y[..., 1:-1, :], origin=(1, 0))[:, 0]
         rhs = rhs_rows[:len(items)]
         np.subtract(eps1, G1, out=rhs[:, 1:-1])
         sol = op.solve(rhs)
-        y1 = cfg.lambda_a * y[:, 0] + (1.0 - cfg.lambda_a) * sol
+        # the int64 view of -0.0 is -2**63
+        if cfg.lambda_a == 0.0 and not (sol.view(np.int64) == -2**63).any():
+            y1 = sol
+        else:
+            y1 = cfg.lambda_a * y[:, 0] + (1.0 - cfg.lambda_a) * sol
         with np.errstate(over="ignore", invalid="ignore"):
             step = y1 - y[:, 0]
             err = scale * np.sqrt(_item_dots(step, step))
@@ -163,13 +166,20 @@ def solve_semilinear(
             raise NumericalError(f"fixed-point iterate blew up at iteration {ell}")
         history.append(float(err.max()))
         y[:, 0] = y1
-        y[:, 1] = base[:, 1] - ratio * (y1 - base[:, 0])
+        # in step's memory: three writes into strided y[:, 1] cost more on small items
+        t = np.subtract(y1, base[:, 0], out=step)
+        t *= ratio
+        np.subtract(base[:, 1], t, out=y[:, 1])
         done = (err <= cfg.tol2) | (ell == cfg.ell_max)
         if done.any():
             stopped = items[done]
-            states[stopped] = y[done]
             iterations[stopped] = ell
             final[stopped] = err[done]
+            if y is states and done.all():
+                # every item stops in this loop, none was compacted: no copies
+                last_rhs, last_sol = rhs, sol
+                break
+            states[stopped] = y[done]
             last_rhs[stopped] = rhs[done]
             last_sol[stopped] = sol[done]
             if done.all():

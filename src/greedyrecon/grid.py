@@ -16,9 +16,9 @@ loaded by path from scipy's ``fft/_pocketfft`` folder, without importing
 ``scipy.fft``, when the first operator above ``DENSE_SINE_MAX_N`` is built,
 and ``scipy.sparse`` is imported only by the reference assembly
 :attr:`NegLaplacian.matrix`.  Started, imported and solved once at
-n = 256, a process takes about 0.19 s and 33 MiB of peak RSS this way,
-against 0.50 s and 58 MiB with ``import scipy.fft`` (2 vCPUs of a shared
-AMD EPYC host).
+n = 256, a process takes 0.13-0.18 s and 34 MiB of peak RSS this way,
+against 0.30-0.41 s and 58 MiB with ``import scipy.fft`` (2 vCPUs of a
+shared Intel Xeon host; 0.19 against 0.50 s on an AMD EPYC host).
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .exceptions import NumericalError
 # pair faster than scipy.fft's dstn/idstn at every n timed from 8 to 118
 # except n = 108 (a tie): 4.3 against 16.9 us at n = 16, 281 against 329 us
 # at n = 112.  They were slower at n = 120 and 128 (343 against 289 us, 436
-# against 302 us), where the transform's O(n^2 log n) overtakes O(n^3).
+# against 302 us), where the transform's O(n^2 log n) overtakes O(n^3).  On
+# a shared Intel Xeon host: 453 against 521 us at n = 112, 634 against 499 us
+# at n = 128.
 # Larger meshes call the same pocketfft kernel directly, loaded by path, and
 # moving this bound would change the last bits of every mesh it passes.
 DENSE_SINE_MAX_N = 112
@@ -202,12 +204,13 @@ class NegLaplacian:
         s = self._sine
         if s is not None:
             return s @ ((s @ b @ s) / self.eigenvalues) @ s
-        # the positional arguments scipy.fft's dstn and idstn pass with the
-        # default norm and workers: type 1, normalization 0 forward and 2
-        # (divide by (2n)^2) backward, no output array, one thread
+        # scipy.fft's dstn and idstn arguments at the default norm and workers:
+        # type 1, normalization 0 forward and 2 (divide by (2n)^2) backward, one
+        # thread; the backward transform writes over its own input
         dst, axes = self._dst, (-2, -1)
-        return dst(dst(b, 1, axes, 0, None, 1, None) / self.eigenvalues,
-                   1, axes, 2, None, 1, None)
+        x = dst(b, 1, axes, 0, None, 1, None)
+        x /= self.eigenvalues
+        return dst(x, 1, axes, 2, x, 1, None)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve op(u) = rhs on interior nodes; boundary of u is zero.

@@ -218,8 +218,9 @@ class FittingObjective:
         grid = self.ctx.grid
         diff = states - self.targets
         value = 0.5 * self.nu * float(np.dot(beta, beta))
-        for d in diff:
-            value += self.weight * _misfit_sq(grid, d)
+        # each row's sum has the bits of _misfit_sq's sum over its item
+        for row in (diff * diff).reshape(len(diff), -1).sum(axis=1):
+            value += self.weight * (grid.h**2 * float(row))
         if not need_grad:
             return ObjectiveEval(value, None)
         adjoints = solve_adjoint(self.ctx.op, combo, states, (-2.0 * self.weight) * diff)
@@ -271,7 +272,9 @@ def discriminate(objectives, vecs, need_grad: bool = True) -> list:
         rows[2 * i + 1, obj.candidate_pos] = 1.0
     combo = ctx.combo(rows)
     eps = np.stack([vec_to_control(grid, v) for v in vecs])
-    states = ctx.solve(combo, np.repeat(eps, 2, axis=0))
+    # both rows start from their control's one Poisson pair, unnamed so the solve frees it
+    states = ctx.solve(combo, np.repeat(eps, 2, axis=0),
+                       np.repeat(ctx.op.solve(eps), 2, axis=0))
     diffs = states[0::2] - states[1::2]
     values = [0.5 * _misfit_sq(grid, diff) - 0.5 * obj.nu * _misfit_sq(grid, e)
               for obj, diff, e in zip(objectives, diffs, eps)]

@@ -4,6 +4,7 @@ import pytest
 from greedyrecon import (
     ClosedForm,
     ControlBox,
+    Grid,
     IdentificationObjective,
     OptimConfig,
     collinearity,
@@ -20,7 +21,7 @@ from greedyrecon import (
     taylor_error_table,
 )
 
-from conftest import constant_control, kappa, make_context, random_control
+from conftest import constant_control, kappa, make_context, random_control, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,30 @@ class TestConstructedControl:
     def test_boundary_ring_zero(self, ctx):
         eps = constructed_control(0.5, 1.0, 0.2, 0.2, ctx.grid)
         assert np.all(eps[:, 0, :] == 0.0) and np.all(eps[:, :, -1] == 0.0)
+
+    @pytest.mark.parametrize("x_max", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_same_bits_as_sampling_each_component(self, n, x_max):
+        # one meshgrid and one kappa for both components
+        grid = Grid(n, x_max)
+        X = x_max
+        lam = np.pi**2 / (2.0 * X**2)
+
+        def kappa_X(x1, x2):
+            return (np.sin((x1 + X) * np.pi / (2.0 * X))
+                    * np.sin((x2 + X) * np.pi / (2.0 * X)))
+
+        for eta, theta, g1, g2 in [(0.5, 1.0, 0.2, 0.3), (-0.7, 0.25, 1.0, 0.05)]:
+            def eps1(x1, x2):
+                k = kappa_X(x1, x2)
+                return eta * lam * k - 0.05 * g1 * eta * theta * k**2
+
+            def eps2(x1, x2):
+                k = kappa_X(x1, x2)
+                return -theta * lam * k + 0.05 * g2 * eta * theta * k**2
+
+            got = constructed_control(eta, theta, g1, g2, grid)
+            assert same_bits(got, grid.sample_field(eps1, eps2))
 
 
 class TestRandomConstantControls:

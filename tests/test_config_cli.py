@@ -524,6 +524,21 @@ class TestDeterminism:
         assert fast == (tmp_path / "plain.csv").read_bytes()
         assert b"\n3,0,2,2,-0\n" in fast and b"\n11,1,7,7,3\n" in fast
 
+    def test_control_lines_cache_tells_signed_zeros_apart(self):
+        # -0.0 == 0.0 as a dict key, but they print as -0 and 0
+        controls = [np.zeros((2, 6, 6)) for _ in range(3)]
+        controls[0][0, 1, 1:5] = [-0.0, 0.0, -0.0, 5e-324]
+        controls[0][1, 2, 1:5] = [1e308, -1e308, 0.1, -0.0]
+        controls[1][:, 1:-1, 1:-1] = -0.0
+        controls[1][1, 3, 3] = 5e-324
+        controls[2][0, 4, 1:5] = [0.1, 1e308, -0.0, 0.1]
+        lines = ["%d,%d,%d,%d,%.17g\n" % ((m,) + node + (c[node],))
+                 for m, c in enumerate(controls) for node in np.ndindex(c.shape)]
+        fast = "".join(cli._control_lines(controls))
+        assert fast == "".join(lines)
+        assert "\n0,0,1,1,-0\n0,0,1,2,0\n0,0,1,3,-0\n0,0,1,4,4.9406564584124654e-324\n" in fast
+        assert "\n2,0,4,3,-0\n" in fast and "\n0,1,2,2,-1e+308\n" in fast
+
     def test_seed_override_changes_baseline(self, tmp_path):
         art1, art2 = tmp_path / "a", tmp_path / "b"
         cfg = tiny_config(tmp_path)

@@ -23,7 +23,7 @@ from greedyrecon import (
 from greedyrecon.forward import _item_dots, coupled_linear_matrix
 from greedyrecon.grid import inner_l2
 
-from conftest import kappa, random_control, same_bits
+from conftest import kappa, random_control, same_bits, signed_zeros
 
 
 def zero_combo(degree=2):
@@ -437,6 +437,41 @@ class TestInteriorNonlinearity:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "node (0" not in messages[0] and ", 0)" not in messages[0]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_pocketfft_mesh_with_an_item_that_stops_first(self, lam):
+        # n = 128 solves by pocketfft's transform: the iterate taken as the
+        # solve itself, the y2 update in place and the in-place transform
+        op = NegLaplacian(Grid(128, 1.0))
+        rng = np.random.default_rng(41)
+        eps = np.stack([s * random_control(op.grid, rng) for s in (0.05, 1.0)])
+        nonlin = ClosedForm(0.3, 0.2, kind="sinusoidal")
+        report = self.assert_same_solve(op, nonlin, eps, FixedPointConfig(lambda_a=lam))
+        assert report.item_iterations[0] < report.item_iterations[1]
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_zero_and_negative_items_keep_the_signed_zeros(self, n):
+        # 0.0 * y is -0.0 on a negative state, and pocketfft solves zero
+        # data to -0.0 on most nodes
+        op = NegLaplacian(Grid(n, 1.0))
+        rng = np.random.default_rng(n)
+        zeros = np.zeros((2,) + op.grid.shape)
+        eps = np.stack([zeros, signed_zeros(rng, zeros, 0.5),
+                        -np.abs(random_control(op.grid, rng))])
+        basis = MonomialBasis(2)
+        for nonlin in (ClosedForm(0.3, 0.2, kind="bilinear"),
+                       BasisCombo(0.3, 0.2, basis=basis, coeffs=rng.uniform(0, 1, basis.size))):
+            self.assert_same_solve(op, nonlin, eps, FixedPointConfig())
+
+    def test_negative_zeros_of_a_solve_meet_a_positive_zero_iterate(self):
+        # at lambda_a = 0 the formula gives 0.0 * (+0.0) + 1.0 * (-0.0) = +0.0,
+        # so a solve with interior zeros is not taken as the iterate
+        op = NegLaplacian(Grid(128, 1.0))
+        zeros = np.zeros((2,) + op.grid.shape)
+        assert np.any(np.signbit(op.solve(zeros)))
+        y, report = solve_semilinear(op, ClosedForm(0.3, 0.2, kind="bilinear"), zeros,
+                                     FixedPointConfig(), zeros)
+        assert report.iterations == 1 and not np.any(np.signbit(y))
 
 
 class TestSolveAdjoint:

@@ -192,6 +192,43 @@ class TestLinearSolve:
         assert np.abs(op.apply_interior(u) - ref).max() <= 1e-15 * scale
 
 
+class TestInPlaceTransform:
+    """Above DENSE_SINE_MAX_N the backward transform writes over the output
+    of the forward one; the solve keeps the bits of the out-of-place form."""
+
+    @staticmethod
+    def out_of_place(op, b):
+        dst, axes = op._dst, (-2, -1)
+        return dst(dst(b, 1, axes, 0, None, 1, None) / op.eigenvalues,
+                   1, axes, 2, None, 1, None)
+
+    @pytest.mark.parametrize("n", [DENSE_SINE_MAX_N + 1, 128, 256])
+    @pytest.mark.parametrize("stack", [(), (2,), (3, 2)])
+    def test_same_bits_as_out_of_place(self, n, stack):
+        op = NegLaplacian(Grid(n, 1.5))
+        rng = np.random.default_rng(n + len(stack))
+        full = signed_zeros(rng, rng.standard_normal(stack + (n + 1, n + 1)))
+        strided = interior(full)
+        assert not strided.flags.c_contiguous
+        for b in (strided, np.ascontiguousarray(strided)):
+            before = b.copy()
+            got = op.inverse_interior(b)
+            assert got.shape == b.shape and got.flags.c_contiguous
+            assert same_bits(got, self.out_of_place(op, b))
+            assert same_bits(b, before)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           stack=st.sampled_from([(), (2,), (3, 2)]), zero=st.booleans())
+    def test_dense_transform_never_returns_negative_zero(self, n, seed, stack, zero):
+        # so at lambda_a = 0 the fixed point takes every dense solve as its
+        # iterate; pocketfft's transform solves zero data to -0.0 (test_forward)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(stack + (n - 1, n - 1)) * (0.0 if zero else 1.0)
+        x = NegLaplacian(Grid(n, 1.0)).inverse_interior(signed_zeros(rng, b, 0.5))
+        assert not np.any(np.signbit(x) & (x == 0.0))
+
+
 def slice_update_stencil(op, u):
     """Reference for NegLaplacian.apply_interior: 4u, then one in-place
     subtraction per neighbour on the strided sub-block that has it."""

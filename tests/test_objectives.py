@@ -19,7 +19,7 @@ from greedyrecon import (
     vec_to_control,
 )
 from greedyrecon.nonlinearity import powers
-from greedyrecon.objectives import _coeff_misfit_grad
+from greedyrecon.objectives import _coeff_misfit_grad, _misfit_sq, discriminate
 
 from conftest import make_context, random_control, same_bits, signed_zeros
 
@@ -359,3 +359,52 @@ class TestCachedPoissonPair:
             assert same_bits(obj(beta, need_grad=False).value, want.value)
         assert pairs == [len(controls)]
         assert same_bits(obj.controls, np.stack(controls))
+
+    @pytest.mark.parametrize("need_grad", [False, True])
+    def test_stacked_discriminate_solves_each_control_pair_once(self, ctx, need_grad,
+                                                                monkeypatch):
+        # the surrogate and candidate rows of a control both start from its
+        # one Poisson pair solve
+        rng = np.random.default_rng(18)
+        objs = [DiscriminationObjective(ctx, rng.uniform(0.0, 0.3, k), pos, nu)
+                for k, pos, nu in [(0, 1, 1e-6), (2, 3, 0.0), (3, 5, 1e-4)]]
+        vecs = [rng.uniform(-1.0, 1.0, 2 * (ctx.grid.n - 1) ** 2) for _ in objs]
+        solve = SolverContext.solve
+        with monkeypatch.context() as patch:
+            patch.setattr(SolverContext, "solve",
+                          lambda self, nonlin, eps, y0=None: solve(self, nonlin, eps))
+            ref = discriminate(objs, vecs, need_grad)
+        poisson = NegLaplacian.solve
+        pairs = []
+
+        def counting(op, rhs):
+            if np.ndim(rhs) == 4:
+                pairs.append(len(rhs))
+            return poisson(op, rhs)
+
+        monkeypatch.setattr(NegLaplacian, "solve", counting)
+        got = discriminate(objs, vecs, need_grad)
+        assert pairs == [len(objs)]
+        for g, want in zip(got, ref):
+            assert same_bits(g.value, want.value)
+            assert (g.grad is None) if not need_grad else same_bits(g.grad, want.grad)
+
+
+class TestMisfitRowSums:
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 20), n=st.integers(2, 40),
+           weight=st.sampled_from([0.5, 1.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_per_item_loop(self, count, n, weight, seed):
+        ctx = make_context(n=n)
+        rng = np.random.default_rng(seed)
+        shape = (count, 2, n + 1, n + 1)
+        scale = 10.0 ** rng.uniform(-3, 3, (count, 1, 1, 1))
+        states = signed_zeros(rng, scale * rng.standard_normal(shape))
+        targets = scale * rng.standard_normal(shape)
+        beta, nu = rng.uniform(0.0, 1.0, 3), 1e-3
+        obj = FittingObjective(ctx, list(targets), list(targets), nu, weight)
+        obj._solve = lambda b: (None, states)
+        want = 0.5 * nu * float(np.dot(beta, beta))
+        for d in states - targets:
+            want += weight * _misfit_sq(ctx.grid, d)
+        assert same_bits(obj(beta, need_grad=False).value, want)
