@@ -47,10 +47,6 @@ EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def write_csv(path: Path, header: list[str], rows, formatted: bool = False) -> None:
     """The header line, then one line per row, a tuple of numbers, each
     written with 17 significant digits: floats round-trip and integers
@@ -66,11 +62,13 @@ def write_csv(path: Path, header: list[str], rows, formatted: bool = False) -> N
 
 def write_matrix_csv(path: Path, corner: str, col_coords, row_coords, matrix) -> None:
     """Matrix with axis headers: first row = column coordinates, first
-    column = row coordinates; NaN entries spelled 'nan'."""
+    column = row coordinates; numbers written as write_csv writes them,
+    NaN entries spelled 'nan'."""
+    cols = ",".join(["%.17g"] * len(col_coords))
+    line = "%.17g," + cols + "\n"
     with open(path, "w") as fh:
-        fh.write(corner + "," + ",".join(_fmt(c) for c in col_coords) + "\n")
-        for r, row in zip(row_coords, matrix):
-            fh.write(_fmt(r) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        fh.write(corner + "," + cols % tuple(col_coords) + "\n")
+        fh.writelines(line % (r, *row) for r, row in zip(row_coords, matrix))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -109,8 +109,8 @@ def solve_semilinear(
     coupled iteration on both components, until the update norm
     E = h*||y1_{l+1} - y1_l||_2 * sqrt(1 + (gamma2/gamma1)^2) (the coupled
     update norm) drops to tol2 or ell_max is hit, per item.  At lambda_a = 0
-    the new y1 is the solve y1~ itself unless that holds a -0.0, which the
-    formula can turn to +0.0, and y2 is written in place.  Returns the
+    the new y1 is the solve y1~ itself, which holds no -0.0 and so has the
+    formula's bits, and y2 is written in place.  Returns the
     states in the shape of ``eps`` with a report; non-convergence is the
     caller's decision.  G is evaluated on grid rows 1..n-1 only, one
     contiguous block per item and component, and ``eps1 - gamma1 G`` is
@@ -154,8 +154,7 @@ def solve_semilinear(
         rhs = rhs_rows[:len(items)]
         np.subtract(eps1, G1, out=rhs[:, 1:-1])
         sol = op.solve(rhs)
-        # the int64 view of -0.0 is -2**63
-        if cfg.lambda_a == 0.0 and not (sol.view(np.int64) == -2**63).any():
+        if cfg.lambda_a == 0.0:
             y1 = sol
         else:
             y1 = cfg.lambda_a * y[:, 0] + (1.0 - cfg.lambda_a) * sol

@@ -217,8 +217,10 @@ class NegLaplacian:
 
         Accepts fields (..., n+1, n+1) with any leading axes, e.g. a scalar
         field, a component pair or a stack of pairs, all solved in one
-        transform.  Non-finite values raise NumericalError; solve_semilinear
-        checks the stencil residual of its last solve.
+        transform.  Adding +0.0 to the result turns pocketfft's -0.0 (on
+        zero data) into +0.0 and keeps every other value, so neither branch
+        returns -0.0.  Non-finite values raise NumericalError;
+        solve_semilinear checks the stencil residual of its last solve.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-2:] != self.grid.shape:
@@ -228,7 +230,7 @@ class NegLaplacian:
         if not (np.isfinite(x).all() and np.isfinite(b).all()):
             raise NumericalError("linear solve produced non-finite values")
         out = np.zeros(rhs.shape)
-        out[..., 1:-1, 1:-1] = x
+        np.add(x, 0.0, out=out[..., 1:-1, 1:-1])
         return out
 
 

@@ -12,7 +12,7 @@ built in, and a combo the terms it was built with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -141,7 +141,8 @@ class BasisCombo(Nonlinearity):
 
     A (B, K) coefficient array stacks B combos, one per item of a stack:
     row b acts on inputs whose leading index is b.  The terms of G and of
-    both partials are fixed when the combo is built, and one loop sums them.
+    both partials are fixed when the combo is built, and one loop sums them;
+    ``rows(index)`` builds the combo of some rows anew from those rows.
     """
 
     basis: MonomialBasis = None
@@ -157,33 +158,19 @@ class BasisCombo(Nonlinearity):
         # coefficient j, or its column over stacked rows
         used = np.flatnonzero(np.any(np.atleast_2d(c) != 0.0, axis=0))
         terms = [(c.T[j], *self.basis.exponent(j)) for j in used]
-        self._set_terms([_table(t, c.shape[:-1]) for t in (
+        tables = tuple(_table(t, c.shape[:-1]) for t in (
             terms,
             [(a * i1, i1 - 1, i2) for a, i1, i2 in terms if i1 > 0],
-            [(a * i2, i1, i2 - 1) for a, i1, i2 in terms if i2 > 0])])
-
-    def _set_terms(self, tables):
-        object.__setattr__(self, "_tables", tuple(tables))
+            [(a * i2, i1, i2 - 1) for a, i1, i2 in terms if i2 > 0]))
+        object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_degrees", tuple(
             max((e[k] for e in tables[0][1]), default=0) for k in (0, 1)))
 
     def rows(self, index) -> "BasisCombo":
-        """The combo of the stacked rows at ``index``, cut from this one's
-        term tables without rebuilding them: each term keeps its column's
-        entries at ``index``, and a term left with only zeros is dropped, as
-        a combo built from those rows would drop it."""
+        """The combo of the stacked rows at ``index``, built from them."""
         if self.coeffs.ndim == 1:
             return self
-        tables = []
-        for a, exps in self._tables:
-            a = a[:, index]
-            used = np.flatnonzero(np.any(a != 0.0, axis=1))
-            tables.append((a[used], [exps[t] for t in used]))
-        # a copy that shares basis and gammas; __post_init__ is not run
-        sub = object.__new__(type(self))
-        sub.__dict__.update(vars(self), coeffs=self.coeffs[index])
-        sub._set_terms(tables)
-        return sub
+        return replace(self, coeffs=self.coeffs[index])
 
     def _sums(self, tables, y1, y2) -> list:
         """Each term table summed over one pair of power tables; a row's zero

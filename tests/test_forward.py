@@ -451,8 +451,8 @@ class TestInteriorNonlinearity:
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_zero_and_negative_items_keep_the_signed_zeros(self, n):
-        # 0.0 * y is -0.0 on a negative state, and pocketfft solves zero
-        # data to -0.0 on most nodes
+        # 0.0 * y is -0.0 on a negative state, and pocketfft's transform
+        # solves zero data to -0.0 on most nodes, which solve makes +0.0
         op = NegLaplacian(Grid(n, 1.0))
         rng = np.random.default_rng(n)
         zeros = np.zeros((2,) + op.grid.shape)
@@ -463,15 +463,16 @@ class TestInteriorNonlinearity:
                        BasisCombo(0.3, 0.2, basis=basis, coeffs=rng.uniform(0, 1, basis.size))):
             self.assert_same_solve(op, nonlin, eps, FixedPointConfig())
 
-    def test_negative_zeros_of_a_solve_meet_a_positive_zero_iterate(self):
-        # at lambda_a = 0 the formula gives 0.0 * (+0.0) + 1.0 * (-0.0) = +0.0,
-        # so a solve with interior zeros is not taken as the iterate
+    def test_zero_control_at_n128_holds_no_negative_zero(self):
+        # pocketfft's transform solves zero data to -0.0, which solve returns
+        # as +0.0, so at lambda_a = 0 the solve taken as the iterate has the
+        # formula's bits
         op = NegLaplacian(Grid(128, 1.0))
         zeros = np.zeros((2,) + op.grid.shape)
-        assert np.any(np.signbit(op.solve(zeros)))
-        y, report = solve_semilinear(op, ClosedForm(0.3, 0.2, kind="bilinear"), zeros,
-                                     FixedPointConfig(), zeros)
+        nonlin = ClosedForm(0.3, 0.2, kind="bilinear")
+        y, report = solve_semilinear(op, nonlin, zeros, FixedPointConfig())
         assert report.iterations == 1 and not np.any(np.signbit(y))
+        self.assert_same_solve(op, nonlin, zeros, FixedPointConfig())
 
 
 class TestSolveAdjoint:

@@ -221,12 +221,34 @@ class TestInPlaceTransform:
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
            stack=st.sampled_from([(), (2,), (3, 2)]), zero=st.booleans())
     def test_dense_transform_never_returns_negative_zero(self, n, seed, stack, zero):
-        # so at lambda_a = 0 the fixed point takes every dense solve as its
-        # iterate; pocketfft's transform solves zero data to -0.0 (test_forward)
+        # the dense products give no -0.0 of their own; pocketfft's transform
+        # solves zero data to -0.0, which solve returns as +0.0 (TestSolveZeros)
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(stack + (n - 1, n - 1)) * (0.0 if zero else 1.0)
         x = NegLaplacian(Grid(n, 1.0)).inverse_interior(signed_zeros(rng, b, 0.5))
         assert not np.any(np.signbit(x) & (x == 0.0))
+
+
+class TestSolveZeros:
+    """solve writes the transform's result with +0.0 added: neither branch
+    returns -0.0, and every other node has the bits of inverse_interior."""
+
+    @pytest.mark.parametrize("n", [16, DENSE_SINE_MAX_N, DENSE_SINE_MAX_N + 1, 128, 256])
+    @pytest.mark.parametrize("stack", [(), (2,), (3, 2)])
+    @pytest.mark.parametrize("data", ["zero", "signed_zeros", "random"])
+    def test_no_negative_zero(self, n, stack, data):
+        op = NegLaplacian(Grid(n, 1.0))
+        rng = np.random.default_rng(n + len(stack))
+        rhs = np.zeros(stack + op.grid.shape)
+        if data != "zero":
+            values = rhs if data == "signed_zeros" else rng.standard_normal(rhs.shape)
+            rhs = signed_zeros(rng, values, 0.5)
+        u = op.solve(rhs)
+        assert not np.any(np.signbit(u) & (u == 0.0))
+        x = op.inverse_interior(interior(rhs))
+        ref = np.zeros(rhs.shape)
+        ref[..., 1:-1, 1:-1] = np.where(x == 0.0, 0.0, x)
+        assert same_bits(u, ref)
 
 
 def slice_update_stencil(op, u):

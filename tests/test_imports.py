@@ -171,3 +171,34 @@ def test_every_optimizer_run_goes_through_the_engine():
     # identify.json record, cover every optimizer run
     assert calls_of("setulb") == {("optimize.py", "_lbfgsb")}
     assert calls_of("minimize_box") == set()
+
+
+# imported by name for perfbench's tracer test, which checks that it is the
+# function it patches in forward
+UNUSED_IMPORTS_KEPT = {("analysis.py", "solve_semilinear")}
+
+
+def module_imports(path: Path) -> set:
+    """(file, bound name) of each module-level import in a file, apart from
+    ``from __future__``."""
+    found = set()
+    for scope, node in scoped_nodes(path):
+        if scope or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            found.add((path.name, alias.asname or alias.name.split(".")[0]))
+    return found
+
+
+def test_every_module_level_import_is_used():
+    # a name left imported after the code that used it is deleted
+    unused = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Name)}
+        unused |= {(file, name) for file, name in module_imports(path) if name not in used}
+    assert unused == UNUSED_IMPORTS_KEPT
