@@ -18,8 +18,10 @@ A directory holds one design: ``greedy`` and ``baseline`` start it over
 config, basis and controls (``--config`` only names the directory, and is
 not read when ``--out`` is given), and every other command writes only its
 own outputs.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 partial
-result (a greedy design stopped by a failure, written up to its last step).
+Exit codes: 0 success, 2 config error (also an input that cannot be read
+as UTF-8 text, or an output directory that cannot be created, which is
+made before any solve), 3 numerical failure, 4 partial result (a greedy
+design stopped by a failure, written up to its last step).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import ConfigError, ExperimentConfig, build_context, greedy_config, truth_nonlinearity
+from .config import (ConfigError, ExperimentConfig, build_context, greedy_config, read_text,
+                     truth_nonlinearity)
 from .exceptions import GreedyFailure, NumericalError
 from .greedy import run_greedy
 from .grid import Grid
@@ -81,7 +84,7 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
     """Controls by index; ConfigError unless every value is finite, every
     boundary node holds 0 and the controls are 0..M-1, each setting every
     grid node exactly once, as write_design writes them."""
-    lines = path.read_text().strip().split("\n")[1:]
+    lines = read_text(path).strip().split("\n")[1:]
     side = grid.n + 1
     flat, values = np.empty(len(lines), dtype=np.int64), np.empty(len(lines))
     for row, line in enumerate(lines):
@@ -114,8 +117,9 @@ def read_controls(path: Path, grid: Grid) -> list[np.ndarray]:
 def _load_artifact(out: Path):
     cfg = ExperimentConfig.load(out / "config.json")
     path = out / "basis.json"
+    text = read_text(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
         degree, order = doc["degree"], list(doc["order"])
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{path}: malformed basis ({exc!r})") from exc
@@ -142,7 +146,7 @@ def read_identified(out: Path, basis):
         return None, None
     exponents = basis.ordered_exponents()
     alpha = []
-    for line in path.read_text().strip().split("\n")[1:]:
+    for line in read_text(path).strip().split("\n")[1:]:
         try:
             position, i1, i2, value = line.split(",")
             position, exp, value = int(position), (int(i1), int(i2)), float(value)
@@ -156,8 +160,9 @@ def read_identified(out: Path, basis):
         raise ConfigError(f"{path}: {len(alpha)} coefficients for a basis of "
                           f"{len(exponents)}")
     info = out / "identify.json"
+    text = read_text(info)
     try:
-        kind = json.loads(info.read_text())["truth"]
+        kind = json.loads(text)["truth"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{info}: malformed ({exc!r})") from exc
     if kind not in CLOSED_FORM_KINDS:
@@ -223,8 +228,9 @@ def read_summary(out: Path) -> dict:
     that add a section read it before they write anything, and write it
     back last, so one that fails on it has changed nothing."""
     path = out / "summary.json"
+    text = read_text(path) if path.exists() else "{}"
     try:
-        payload = json.loads(path.read_text()) if path.exists() else {}
+        payload = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed ({exc!r})") from exc
     if not isinstance(payload, dict):
@@ -233,6 +239,7 @@ def read_summary(out: Path) -> dict:
 
 
 def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     ctx = build_context(cfg)
     gcfg = greedy_config(cfg)
     t0 = time.perf_counter()
@@ -397,6 +404,7 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
         raise ConfigError(f"--k must lie in [1, {ctx.basis.size}], got {k}")
     if samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {samples}")
+    out.mkdir(parents=True, exist_ok=True)
     summary = read_summary(out)
     # probe at the box midpoint, or half the upper bound if that is zero
     mid = 0.5 * (np.asarray(cfg.eps_a) + np.asarray(cfg.eps_b))
@@ -416,7 +424,6 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, k: int, samples: int) -> int
                          "median": stats.dalpha_per_y[1]},
     }
     # the probe's config goes here, never into a design's config.json
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "stability.json", dict(payload, config=cfg.to_dict()))
     write_json(out / "summary.json", dict(summary, stability=payload))
     print(f"stability probe k={k}: H1 ratio max {stats.h1_per_dalpha[0]:.3e}")
@@ -512,7 +519,7 @@ def main(argv=None) -> int:
         if args.command == "all":
             return cmd_all(cfg, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

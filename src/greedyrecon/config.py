@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .forward import FixedPointConfig
 from .greedy import GreedyConfig
@@ -52,6 +53,15 @@ _FIXED_POINT = FixedPointConfig()
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; ConfigError naming the file if it
+    cannot be read (missing, a directory, unreadable) or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read as UTF-8 text ({exc})") from exc
 
 
 def _check_type(key: str, value, like) -> None:
@@ -179,11 +189,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: the top level must be a JSON object")
         return cls.from_dict(data)

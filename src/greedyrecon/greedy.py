@@ -135,17 +135,6 @@ def _select_winner(scores: dict) -> int:
     return min(c for c, s in viable.items() if s >= best - band)
 
 
-def control_optim_config(cfg: GreedyConfig, grid) -> OptimConfig:
-    """Control-space optimizer settings with a mesh-consistent tolerance.
-
-    Gradients with respect to nodal control values carry the quadrature
-    weight h^2, so a flat Euclidean tolerance would be mesh-dependent;
-    ``grad_tol`` is interpreted in the L2-representer scale and converted
-    to the flat scale by one factor of h.
-    """
-    return replace(cfg.optim_control, grad_tol=cfg.optim_control.grad_tol * grid.h)
-
-
 # The discrimination runs see the score, its gradient and their flat
 # tolerance times a power of two near DISCRIMINATION_C / h^2.  Unscaled, the
 # gradient carries h^2, and L-BFGS-B, which skips the updates of the locally
@@ -192,14 +181,15 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
         for c in candidates]
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     scale = discrimination_scale(ctx.grid)
-    ocfg = control_optim_config(cfg, ctx.grid)
+    # grad_tol holds in the L2-representer scale: one factor of h takes it to
+    # the flat gradient (which carries h^2), and scale to the scaled score
+    ocfg = replace(cfg.optim_control, grad_tol=cfg.optim_control.grad_tol * ctx.grid.h * scale)
 
     def evaluate(problems, vecs):
         return [ObjectiveEval(scale * ev.value, scale * ev.grad)
                 for ev in discriminate([objectives[p] for p in problems], vecs)]
 
-    runs = multistart_maximize(evaluate, run_starts, lo, hi,
-                               replace(ocfg, grad_tol=scale * ocfg.grad_tol))
+    runs = multistart_maximize(evaluate, run_starts, lo, hi, ocfg)
     results, errors, stats = _stage_outcome(f"{name} subproblem at k={k}",
                                             candidates, runs, {})
     scores = {c: (results[c].value / scale if c in results else None) for c in candidates}

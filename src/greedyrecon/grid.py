@@ -111,17 +111,6 @@ def interior(field: np.ndarray) -> np.ndarray:
     return field[..., 1:-1, 1:-1]
 
 
-def field_from_interior(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Embed interior node values into a full field with zero boundary."""
-    m = grid.n - 1
-    if values.size % (m * m) != 0:
-        raise ValueError("interior data does not match the grid")
-    ncomp = values.size // (m * m)
-    full = np.zeros((ncomp, grid.n + 1, grid.n + 1))
-    full[:, 1:-1, 1:-1] = values.reshape(ncomp, m, m)
-    return full[0] if ncomp == 1 else full
-
-
 class NegLaplacian:
     """Five-point discretization of -Laplace with homogeneous Dirichlet data.
 

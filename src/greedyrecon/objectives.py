@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .forward import FixedPointConfig, solve_adjoint, solve_semilinear
-from .grid import NegLaplacian, field_from_interior, interior
+from .grid import NegLaplacian, interior
 from .nonlinearity import BasisCombo, MonomialBasis, powers, unit_combo
 
 
@@ -85,11 +85,15 @@ def control_to_vec(control: np.ndarray) -> np.ndarray:
 
 
 def vec_to_control(grid, vec: np.ndarray) -> np.ndarray:
-    """Rebuild a full control field (zero boundary ring) from a flat vector."""
+    """Full control fields, zero on the boundary ring: (2, n+1, n+1) from a
+    flat vector, or (C, 2, n+1, n+1) from a stack of them (C, 2(n-1)^2)."""
     vec = np.asarray(vec, dtype=float)
-    if vec.size != 2 * (grid.n - 1) ** 2:
+    m = grid.n - 1
+    if vec.ndim not in (1, 2) or vec.shape[-1] != 2 * m * m:
         raise ValueError("flat control vector does not match the grid")
-    return field_from_interior(grid, vec)
+    field = np.zeros(vec.shape[:-1] + (2,) + grid.shape)
+    field[..., 1:-1, 1:-1] = vec.reshape(vec.shape[:-1] + (2, m, m))
+    return field
 
 
 def constant_control(grid, pair) -> np.ndarray:
@@ -144,9 +148,10 @@ class SolverContext:
         return state
 
 
-def _misfit_sq(grid, diff: np.ndarray) -> float:
-    # squared discrete L2 norm, h^2 * sum(diff^2)
-    return grid.h**2 * float(np.sum(diff * diff))
+def _squared_norms(grid, f: np.ndarray) -> np.ndarray:
+    """Squared discrete L2 norm h^2 * sum(f_i^2) of each item of a stack
+    (C, ...); a row's sum has the bits of np.sum over its item alone."""
+    return grid.h**2 * (f * f).reshape(len(f), -1).sum(axis=1)
 
 
 def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarray:
@@ -215,12 +220,10 @@ class FittingObjective:
     def __call__(self, beta: np.ndarray, need_grad: bool = True) -> ObjectiveEval:
         beta = np.asarray(beta, dtype=float)
         combo, states = self._solve(beta)
-        grid = self.ctx.grid
         diff = states - self.targets
         value = 0.5 * self.nu * float(np.dot(beta, beta))
-        # each row's sum has the bits of _misfit_sq's sum over its item
-        for row in (diff * diff).reshape(len(diff), -1).sum(axis=1):
-            value += self.weight * (grid.h**2 * float(row))
+        for sq in _squared_norms(self.ctx.grid, diff).tolist():
+            value += self.weight * sq
         if not need_grad:
             return ObjectiveEval(value, None)
         adjoints = solve_adjoint(self.ctx.op, combo, states, (-2.0 * self.weight) * diff)
@@ -271,22 +274,20 @@ def discriminate(objectives, vecs, need_grad: bool = True) -> list:
         rows[2 * i, :obj.beta.size] = obj.beta
         rows[2 * i + 1, obj.candidate_pos] = 1.0
     combo = ctx.combo(rows)
-    eps = np.stack([vec_to_control(grid, v) for v in vecs])
+    eps = vec_to_control(grid, vecs)
     # both rows start from their control's one Poisson pair, unnamed so the solve frees it
     states = ctx.solve(combo, np.repeat(eps, 2, axis=0),
                        np.repeat(ctx.op.solve(eps), 2, axis=0))
     diffs = states[0::2] - states[1::2]
-    values = [0.5 * _misfit_sq(grid, diff) - 0.5 * obj.nu * _misfit_sq(grid, e)
-              for obj, diff, e in zip(objectives, diffs, eps)]
+    nu = np.array([obj.nu for obj in objectives])
+    values = (0.5 * _squared_norms(grid, diffs) - 0.5 * nu * _squared_norms(grid, eps)).tolist()
     if not need_grad:
         return [ObjectiveEval(value, None) for value in values]
     rhs = np.stack([diffs, -diffs], axis=1).reshape(states.shape)
     q = solve_adjoint(ctx.op, combo, states, rhs)
-    out = []
-    for i, (obj, value) in enumerate(zip(objectives, values)):
-        rep = interior(q[2 * i]) - obj.nu * interior(eps[i]) + interior(q[2 * i + 1])
-        out.append(ObjectiveEval(value, grid.h**2 * rep.reshape(-1)))
-    return out
+    rep = interior(q[0::2]) - nu[:, None, None, None] * interior(eps) + interior(q[1::2])
+    grads = grid.h**2 * rep.reshape(len(objectives), -1)
+    return [ObjectiveEval(value, grad) for value, grad in zip(values, grads)]
 
 
 class IdentificationObjective(FittingObjective):

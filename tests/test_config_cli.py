@@ -687,3 +687,65 @@ class TestMalformedInput:
         path.write_text(json.dumps([{"n": 8}]))
         assert main(["--config", str(path), "greedy"]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe{\x00"
+
+
+def not_utf8(path: Path) -> Path:
+    path.write_bytes(NOT_UTF8)
+    return path
+
+
+def a_directory(path: Path) -> Path:
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    return path
+
+
+def a_file(path: Path) -> Path:
+    path.write_text("not a directory\n")
+    return path
+
+
+# (command line, path the message names) built from the design directory
+UNUSABLE_PATHS = {
+    "config-not-utf8": lambda art: (["--config", str(not_utf8(art.parent / "bad.json")),
+                                     "greedy"], art.parent / "bad.json"),
+    "config-directory": lambda art: (["--config", str(a_directory(art.parent / "cfgdir")),
+                                      "greedy"], art.parent / "cfgdir"),
+    "controls-not-utf8": lambda art: (["--out", str(art), "identify"],
+                                      not_utf8(art / "controls.csv")),
+    "identified-not-utf8": lambda art: (["--out", str(art), "taylor"],
+                                        not_utf8(art / "identified.csv")),
+    "identified-directory": lambda art: (["--out", str(art), "taylor"],
+                                         a_directory(art / "identified.csv")),
+    "baseline-out-file": lambda art: (["--config", str(art.parent / "cfg.json"),
+                                       "--out", str(a_file(art.parent / "file")),
+                                       "baseline", "--count", "2"], art.parent / "file"),
+    "greedy-out-file": lambda art: (["--config", str(art.parent / "cfg.json"),
+                                     "--out", str(a_file(art.parent / "file")), "greedy"],
+                                    art.parent / "file"),
+    "greedy-out-under-file": lambda art: (["--config", str(art.parent / "cfg.json"),
+                                           "--out", str(a_file(art.parent / "file") / "sub"),
+                                           "greedy"], art.parent / "file"),
+    "stability-out-file": lambda art: (["--config", str(art.parent / "cfg.json"),
+                                        "--out", str(a_file(art.parent / "file")),
+                                        "stability-probe", "--k", "1", "--samples", "2"],
+                                       art.parent / "file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+def test_unusable_path_exits_2_naming_it(design, capsys, monkeypatch, case):
+    # an input that cannot be read or decoded, or an output directory that
+    # cannot be created, is a config error reported before any solve
+    argv, named = UNUSABLE_PATHS[case](design)
+    greedy_runs = []
+    monkeypatch.setattr(cli, "run_greedy", lambda *a: greedy_runs.append(a))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(named) in err
+    assert "Traceback" not in err
+    assert greedy_runs == []

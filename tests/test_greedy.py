@@ -20,7 +20,6 @@ from greedyrecon.greedy import (
     STAGE_SPLIT,
     DISCRIMINATION_C,
     _select_winner,
-    control_optim_config,
     discrimination_scale,
     fitting_targets,
     promote,
@@ -78,8 +77,8 @@ def sequential_stage(ctx, cfg, stage, k, betas, starts):
     score scaled as the stage scales it, and the number of failed starts."""
     lo, hi = cfg.box.flat_bounds(ctx.grid)
     scale = discrimination_scale(ctx.grid)
-    ocfg = control_optim_config(cfg, ctx.grid)
-    ocfg = dataclasses.replace(ocfg, grad_tol=scale * ocfg.grad_tol)
+    ocfg = dataclasses.replace(cfg.optim_control,
+                               grad_tol=cfg.optim_control.grad_tol * ctx.grid.h * scale)
     scores, errors, failed = {}, {}, 0
     for cand in sorted(betas):
         obj = DiscriminationObjective(ctx, betas[cand], cand, cfg.nu)

@@ -202,3 +202,31 @@ def test_every_module_level_import_is_used():
                 if isinstance(node, ast.Name)}
         unused |= {(file, name) for file, name in module_imports(path) if name not in used}
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+def private_helpers(path: Path) -> set:
+    """(file, name) of each module-level def or class named ``_name``."""
+    return {(path.name, node.name) for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def referenced_names(path: Path) -> set:
+    """Every name a file reads, bare, as an attribute or in a from-import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_helper_is_used():
+    # a helper left defined after its last caller is deleted; a definition's
+    # own name is no reference, so it is found unless some source reads it
+    used = set().union(*map(referenced_names, SOURCES))
+    helpers = set().union(*map(private_helpers, SOURCES))
+    assert helpers and {(file, name) for file, name in helpers if name not in used} == set()

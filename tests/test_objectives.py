@@ -18,8 +18,9 @@ from greedyrecon import (
     project_box,
     vec_to_control,
 )
+from greedyrecon.forward import solve_adjoint
 from greedyrecon.nonlinearity import powers
-from greedyrecon.objectives import _coeff_misfit_grad, _misfit_sq, discriminate
+from greedyrecon.objectives import _coeff_misfit_grad, discriminate
 
 from conftest import make_context, random_control, same_bits, signed_zeros
 
@@ -390,6 +391,11 @@ class TestCachedPoissonPair:
             assert (g.grad is None) if not need_grad else same_bits(g.grad, want.grad)
 
 
+def misfit_sq(grid, diff):
+    """Reference squared discrete L2 norm of one item, h^2 * sum(diff^2)."""
+    return grid.h**2 * float(np.sum(diff * diff))
+
+
 class TestMisfitRowSums:
     @settings(max_examples=40, deadline=None)
     @given(count=st.integers(1, 20), n=st.integers(2, 40),
@@ -406,5 +412,69 @@ class TestMisfitRowSums:
         obj._solve = lambda b: (None, states)
         want = 0.5 * nu * float(np.dot(beta, beta))
         for d in states - targets:
-            want += weight * _misfit_sq(ctx.grid, d)
+            want += weight * misfit_sq(ctx.grid, d)
         assert same_bits(obj(beta, need_grad=False).value, want)
+
+
+def discriminate_one_at_a_time(obj, vec, need_grad):
+    """Reference for one item of discriminate: the surrogate and candidate
+    states by separate solves, each squared norm by its own np.sum, and one
+    adjoint solve per state."""
+    ctx, grid = obj.ctx, obj.ctx.grid
+    m = grid.n - 1
+    eps = np.zeros((2,) + grid.shape)
+    eps[:, 1:-1, 1:-1] = vec.reshape(2, m, m)
+    surrogate, candidate = ctx.combo(obj.beta), ctx.unit(obj.candidate_pos)
+    y_s, y_c = ctx.solve(surrogate, eps), ctx.solve(candidate, eps)
+    diff = y_s - y_c
+    value = 0.5 * misfit_sq(grid, diff) - 0.5 * obj.nu * misfit_sq(grid, eps)
+    if not need_grad:
+        return value, None
+    q_s = solve_adjoint(ctx.op, surrogate, y_s, diff)
+    q_c = solve_adjoint(ctx.op, candidate, y_c, -diff)
+    rep = q_s[:, 1:-1, 1:-1] - obj.nu * eps[:, 1:-1, 1:-1] + q_c[:, 1:-1, 1:-1]
+    return value, grid.h**2 * rep.reshape(-1)
+
+
+class TestStackedDiscriminate:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           items=st.lists(st.tuples(st.sampled_from([0.0, 1e-6, 1e-4]),
+                                    st.integers(0, 5), st.integers(0, 5)),
+                          min_size=1, max_size=5),
+           need_grad=st.booleans())
+    def test_same_bits_as_each_objective_alone(self, n, seed, items, need_grad):
+        # mixed nu, beta lengths 0..K-1 and candidate positions past the
+        # beta in one stack, at controls holding signed zeros
+        ctx = make_context(n=n, degree=2)
+        rng = np.random.default_rng(seed)
+        objs = []
+        for nu, k, pos in items:
+            k = min(k, ctx.basis.size - 1)
+            pos = k + pos % (ctx.basis.size - k)
+            objs.append(DiscriminationObjective(ctx, rng.uniform(0.0, 0.3, k), pos, nu))
+        vecs = [signed_zeros(rng, rng.uniform(-1.0, 1.0, 2 * (n - 1) ** 2)) for _ in objs]
+        got = discriminate(objs, vecs, need_grad)
+        assert len(got) == len(objs)
+        for ev, obj, vec in zip(got, objs, vecs):
+            value, grad = discriminate_one_at_a_time(obj, vec, need_grad)
+            assert type(ev.value) is float and same_bits(ev.value, value)
+            assert ev.grad is None if grad is None else same_bits(ev.grad, grad)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 9), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_vec_to_control_equals_single_calls(self, n, count, seed):
+        grid = make_context(n=n).grid
+        rng = np.random.default_rng(seed)
+        vecs = signed_zeros(rng, rng.uniform(-1.0, 1.0, (count, 2 * (n - 1) ** 2)))
+        stacked = vec_to_control(grid, vecs)
+        assert same_bits(stacked, np.stack([vec_to_control(grid, v) for v in vecs]))
+        for field, vec in zip(stacked, vecs):
+            assert same_bits(control_to_vec(field), vec)
+            assert not field[:, [0, -1], :].any() and not field[:, :, [0, -1]].any()
+
+    @pytest.mark.parametrize("shape", [(17,), (3, 17), (2, 9), (1, 2, 9, 9), ()])
+    def test_vec_to_control_rejects_a_wrong_trailing_size(self, shape):
+        grid = make_context(n=4).grid  # a flat control holds 2 * 3^2 = 18 values
+        with pytest.raises(ValueError):
+            vec_to_control(grid, np.zeros(shape))
