@@ -7,6 +7,9 @@ step ``setulb`` in ``scipy/optimize/_lbfgsb`` and pocketfft's ``dst`` in
 ``import scipy.fft`` about 0.2 s and 17 MiB.  :func:`load` finds the scipy
 package with ``importlib.util.find_spec``, which imports nothing, and loads
 one such file as scipy's own import would, under its own module name.
+Neither is loaded at import: ``_lbfgsb``, which maps scipy's own OpenBLAS
+beside numpy's, at the first optimizer run, and ``pypocketfft`` when the
+first mesh above ``grid.DENSE_SINE_MAX_N`` is built.
 """
 
 from __future__ import annotations

@@ -280,11 +280,14 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
     truth = truth_nonlinearity(cfg, kind)
     t0 = time.perf_counter()
     data = analysis.generate_data(truth, controls, ctx)
-    k_restrict = len(controls) if len(controls) < ctx.basis.size else None
+    # M < K controls fit the first M positions and pin the rest at 0
+    free = min(len(controls), ctx.basis.size)
     alpha, value, res = analysis.identify(
         controls, data, ctx, cfg.optim_coeff, cfg.alpha_max,
-        seed=cfg.seed, k=k_restrict)
+        seed=cfg.seed, k=free)
     elapsed = time.perf_counter() - t0
+    positions = {"free_positions": list(range(free)),
+                 "pinned_positions": list(range(free, ctx.basis.size))}
 
     exps = ctx.basis.ordered_exponents()
     write_csv(out / "identified.csv", ["position", "i1", "i2", "coefficient"],
@@ -308,6 +311,7 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
     write_taylor(out, kind, alpha, ctx.basis)
 
     write_json(out / "identify.json", {
+        **positions,
         "truth": kind,
         "objective_value": value,
         "iterations": res.iterations,
@@ -325,7 +329,7 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
                dict(summary, identify={"truth": kind, "objective_value": value,
                                        "max_collinearity": max(coll),
                                        "collinearity_union": coll_union,
-                                       "seconds": elapsed}))
+                                       "seconds": elapsed, **positions}))
     print(f"identify[{kind}]: objective {value:.3e} in {elapsed:.1f}s -> {out}")
     return EXIT_OK
 

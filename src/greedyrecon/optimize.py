@@ -29,12 +29,15 @@ every start fails, with the first start's error.
 which needs only numpy.  :func:`greedyrecon._compiled.load` loads that one
 file by path instead of importing ``scipy.optimize``, which costs about
 0.3 s and 45 MiB per process and pulls in ``scipy.sparse``,
-``scipy.linalg`` and ``scipy.fft``.
+``scipy.linalg`` and ``scipy.fft``.  The file links scipy's own OpenBLAS,
+so it is loaded at the first optimizer run, not at import: a process that
+only solves forward problems maps neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,9 +45,6 @@ import numpy as np
 from ._compiled import load
 from .exceptions import NumericalError
 from .objectives import ObjectiveEval, project_box
-
-setulb = load("optimize", "_lbfgsb").setulb
-
 
 # correction pairs kept by L-BFGS-B
 LBFGS_MEMORY = 10
@@ -84,6 +84,12 @@ class Lockstep(NamedTuple):
     evals: int
 
 
+@cache
+def _setulb():
+    """scipy's ``setulb``, its extension loaded by the first call."""
+    return load("optimize", "_lbfgsb").setulb
+
+
 def _pg_norm(x, grad, lo, hi) -> float:
     return float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
 
@@ -116,6 +122,7 @@ def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     pgtol = cfg.grad_tol / max(1.0, np.sqrt(n))
     x_seen = np.full(n, np.nan)  # equal to no point, so the start is evaluated
+    setulb = _setulb()
     while True:
         g = g.astype(np.float64)
         setulb(m, x, low, up, nbd, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave,

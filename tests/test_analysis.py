@@ -6,7 +6,9 @@ from greedyrecon import (
     ControlBox,
     Grid,
     IdentificationObjective,
+    NumericalError,
     OptimConfig,
+    SolverContext,
     collinearity,
     constructed_control,
     error_field,
@@ -20,6 +22,8 @@ from greedyrecon import (
     stability_probe,
     taylor_error_table,
 )
+
+from greedyrecon import analysis
 
 from conftest import constant_control, kappa, make_context, random_control, same_bits
 
@@ -99,6 +103,19 @@ class TestIdentify:
                                OptimConfig(grad_tol=1e-10),
                                alpha_max=1.0, seed=0, k=2)
         assert np.all(alpha[2:] == 0.0)
+
+    def test_every_start_failing_raises_the_first_starts_error(self, ctx, monkeypatch):
+        class Failing:
+            def __init__(self, *args):
+                pass
+
+            def __call__(self, x, *args):
+                raise NumericalError("zero start" if not x.any() else "random start")
+
+        monkeypatch.setattr(analysis, "IdentificationObjective", Failing)
+        controls = [random_control(ctx.grid, np.random.default_rng(5))]
+        with pytest.raises(NumericalError, match="^zero start$"):
+            identify(controls, controls, ctx, OptimConfig(), alpha_max=1.0, seed=0)
 
 
 class TestSolutionSets:
@@ -365,3 +382,21 @@ class TestStabilityProbe:
         with pytest.raises(ValueError, match=r"k must lie in \[1, 6\]"):
             stability_probe(ctx, k=k, samples=3, seed=0,
                             control=np.zeros((2,) + ctx.grid.shape))
+
+    def test_every_sample_failing_raises(self, ctx, monkeypatch):
+        def failing(self, nonlin, eps, y0=None):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(SolverContext, "solve", failing)
+        with pytest.raises(NumericalError, match="all stability-probe samples failed"):
+            stability_probe(ctx, k=2, samples=3, seed=0,
+                            control=constant_control(ctx.grid, (0.5, 0.5)))
+
+    def test_no_separated_pair_gives_nan_inverse_ratio(self, ctx):
+        # coefficients in [0, 1] lie less than 2 apart in every pair
+        stats = stability_probe(ctx, k=2, samples=4, seed=0,
+                                control=constant_control(ctx.grid, (0.5, 0.5)),
+                                min_separation=2.0)
+        assert stats.samples_used == 4
+        assert np.isnan(stats.dalpha_per_y).all()
+        assert np.isfinite(stats.h1_per_dalpha + stats.y_per_dalpha).all()

@@ -440,6 +440,42 @@ class TestCliErrors:
         assert "degree >= 2" in capsys.readouterr().err
         assert not (tmp_path / "art" / "controls.csv").exists()
 
+    @pytest.mark.parametrize("failing, code, ran", [
+        ("greedy", 4, ["greedy"]),
+        ("identify", 3, ["greedy", "identify"]),
+    ])
+    def test_all_stops_at_the_first_failing_step(self, tmp_path, monkeypatch,
+                                                 failing, code, ran):
+        steps = []
+
+        def step(name):
+            def run(*args, **kwargs):
+                steps.append(name)
+                return code if name == failing else 0
+            return run
+
+        for name in ("greedy", "identify", "landscape"):
+            monkeypatch.setattr(cli, f"cmd_{name}", step(name))
+        cfg = tiny_config(tmp_path, degree=2)
+        assert main(["--config", str(cfg), "all"]) == code
+        assert steps == ran
+
+    def test_malformed_json_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 8,')
+        assert main(["--config", str(path), "greedy"]) == 2
+        assert f"malformed config file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ([200, 1e-8], "optim_coeff must be an object"),
+        ({"max_iters": 0}, "optim_coeff: max_iters and grad_tol must be positive"),
+    ], ids=["list", "zero-iterations"])
+    def test_bad_optim_coeff_exit_code(self, tmp_path, capsys, value, message):
+        cfg = tiny_config(tmp_path, optim_coeff=value)
+        assert main(["--config", str(cfg), "greedy"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, tol2=float("nan"))
         assert "NaN" in cfg.read_text()
@@ -562,6 +598,34 @@ def relabel(rows, old, new):
     return [f"{new}," + r.split(",", 1)[1] for r in rows if r.split(",")[0] == old]
 
 
+class TestIdentifyReport:
+    def test_fewer_controls_than_coefficients_pin_the_tail(self, design):
+        # 3 controls fit the first 3 of the 6 positions; the rest stay 0
+        doc = json.loads((design / "identify.json").read_text())
+        summary = json.loads((design / "summary.json").read_text())["identify"]
+        for record in (doc, summary):
+            assert record["free_positions"] == [0, 1, 2]
+            assert record["pinned_positions"] == [3, 4, 5]
+        rows = (design / "identified.csv").read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[-1]) for row in rows[3:]] == [0.0] * 3
+
+    def test_as_many_controls_as_coefficients_pin_none(self, tmp_path):
+        cfg = tiny_config(tmp_path, degree=2)
+        assert main(["--config", str(cfg), "baseline", "--count", "6"]) == 0
+        doc = json.loads((tmp_path / "art" / "identify.json").read_text())
+        assert doc["free_positions"] == list(range(6))
+        assert doc["pinned_positions"] == []
+
+
+class TestLandscapePair:
+    def test_explicit_pair(self, design):
+        assert main(["--out", str(design), "landscape", "--pair", "4,1",
+                     "--points", "2"]) == 0
+        summary = json.loads((design / "summary.json").read_text())
+        assert summary["landscape"]["index_pair"] == [4, 1]
+        assert len((design / "landscape.csv").read_text().strip().split("\n")) == 3
+
+
 class TestMalformedInput:
     @staticmethod
     def identify_error(art, capsys):
@@ -575,6 +639,12 @@ class TestMalformedInput:
         path = design / "basis.json"
         path.write_text(json.dumps(dict(json.loads(path.read_text()), order=order)))
         assert str(path) in self.identify_error(design, capsys)
+
+    def test_basis_degree_not_the_configs_exit_code(self, design, capsys):
+        path = design / "basis.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), degree=3)))
+        err = self.identify_error(design, capsys)
+        assert str(path) in err and "basis degree disagrees with config" in err
 
     def test_basis_without_degree_exit_code(self, design, capsys):
         path = design / "basis.json"

@@ -600,6 +600,22 @@ class TestReducedAdjoint:
         residual = coupled_action(op, nonlin, g.zero_field(), q, True) - rhs
         assert l2_norm(g, residual) <= 1e-9 * l2_norm(g, rhs)
 
+    def test_perturbed_poisson_pair_fails_the_residual_check(self, monkeypatch):
+        # the final Poisson pair is the one 4-axis solve; the scalar CG's
+        # preconditioner solves are left exact
+        g = Grid(16, 1.0)
+        op = NegLaplacian(g)
+        exact = op.inverse_interior
+
+        def perturbed(b):
+            x = exact(b)
+            return x * (1.0 + 1e-6) if b.ndim == 4 else x
+
+        monkeypatch.setattr(op, "inverse_interior", perturbed)
+        rhs = random_control(g, np.random.default_rng(11))
+        with pytest.raises(NumericalError, match=r"adjoint solve residual .* too large"):
+            solve_adjoint(op, zero_combo(), 0.5 * rhs, rhs)
+
     def test_non_finite_linearization_raises(self):
         g = Grid(8, 1.0)
         state = np.zeros((2,) + g.shape)

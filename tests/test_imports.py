@@ -1,9 +1,12 @@
 """The import footprint, in fresh interpreters: greedyrecon runs on numpy
-plus two compiled scipy files loaded by path, L-BFGS-B's ``_lbfgsb`` and
-pocketfft's ``pypocketfft``, imports no scipy package for any mesh, and
-shares each file with scipy whichever is imported first."""
+plus two compiled scipy files loaded by path, L-BFGS-B's ``_lbfgsb`` at the
+first optimizer run and pocketfft's ``pypocketfft`` at the first mesh above
+n = 112, imports no scipy package for any mesh, maps neither ``_lbfgsb`` nor
+scipy's own BLAS in a process that only solves forward problems, and shares
+each file with scipy whichever loads it first."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -71,15 +74,26 @@ def test_fine_mesh_solves_load_no_scipy_module():
     assert ast.literal_eval(out) == []
 
 
-# each compiled file greedyrecon loads, with the scipy import that loads it
-# and a check, run after both imports, that both sides call the one routine
+# one optimizer run, which loads L-BFGS-B's file if it is the process's first
+OPTIMIZER_RUN = """
+import numpy as np
+from greedyrecon import optimize
+from greedyrecon.objectives import ObjectiveEval
+optimize.minimize_box(lambda x: ObjectiveEval(float(x @ x), 2.0 * x), np.ones(2),
+                      np.full(2, -2.0), np.full(2, 2.0), optimize.OptimConfig())
+"""
+
+# each compiled file greedyrecon loads, with the scipy import that loads it,
+# the greedyrecon code whose first run loads it, and a check, run after
+# both, that both sides call the one routine
 SHARED = {
-    "_lbfgsb": ("import scipy.optimize", "from greedyrecon import optimize",
+    "_lbfgsb": ("import scipy.optimize", OPTIMIZER_RUN,
                 ROSENBROCK + "import scipy.optimize._lbfgsb\n"
-                "assert scipy.optimize._lbfgsb.setulb is optimize.setulb\n"),
-    "pypocketfft": ("import scipy.fft", "from greedyrecon.grid import Grid, NegLaplacian",
+                "assert scipy.optimize._lbfgsb.setulb is optimize._setulb()\n"),
+    "pypocketfft": ("import scipy.fft",
+                    "from greedyrecon.grid import Grid, NegLaplacian\n"
+                    "op = NegLaplacian(Grid(128, 1.0))",
                     "import scipy.fft._pocketfft.pypocketfft\n"
-                    "op = NegLaplacian(Grid(128, 1.0))\n"
                     "assert scipy.fft._pocketfft.pypocketfft.dst is op._dst\n"),
 }
 
@@ -87,11 +101,53 @@ SHARED = {
 @pytest.mark.parametrize("first", ["scipy", "greedyrecon"])
 @pytest.mark.parametrize("extension", sorted(SHARED))
 def test_extension_shared_with_scipy(extension, first):
-    scipy_import, greedyrecon_import, check = SHARED[extension]
-    imports = [scipy_import, greedyrecon_import]
+    scipy_import, greedyrecon_load, check = SHARED[extension]
+    steps = [scipy_import, greedyrecon_load]
     if first == "greedyrecon":
-        imports.reverse()
-    run_fresh("\n".join(imports) + "\n" + check)
+        steps.reverse()
+    run_fresh("\n".join(steps) + "\n" + check)
+
+
+# the files mapped into the process after numpy's import, after forward
+# solves at n = 16 and n = 128 (either side of the pocketfft switch), and
+# after one optimizer run
+MAPPED_FILES = """
+import json
+
+def mapped():
+    with open("/proc/self/maps") as fh:
+        parts = (line.split(None, 5) for line in fh)
+        return sorted({p[5].strip() for p in parts if len(p) == 6})
+
+steps = {}
+import numpy as np
+steps["numpy"] = mapped()
+import greedyrecon.cli
+from greedyrecon.config import ExperimentConfig, build_context
+for n in (16, 128):
+    ctx = build_context(ExperimentConfig(n=n))
+    eps = np.ones((2, n + 1, n + 1))
+    eps[:, [0, -1]] = eps[:, :, [0, -1]] = 0.0
+    assert np.isfinite(ctx.solve(ctx.combo(np.full(ctx.basis.size, 0.5)), eps)).all()
+steps["forward"] = mapped()
+""" + OPTIMIZER_RUN + """
+steps["optimizer"] = mapped()
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_forward_solves_map_no_optimizer_and_no_second_blas():
+    # scipy's _lbfgsb links scipy's own OpenBLAS, a second BLAS next to
+    # numpy's: forward work maps neither, the first optimizer run _lbfgsb
+    steps = json.loads(run_fresh(MAPPED_FILES))
+
+    def named(step, part):
+        return {p for p in steps[step] if part in os.path.basename(p)}
+
+    assert named("forward", "_lbfgsb") == set()
+    assert named("forward", "openblas") == named("numpy", "openblas")
+    assert named("optimizer", "_lbfgsb")
 
 
 def test_loader_names_the_directory_it_searched(tmp_path, monkeypatch):
