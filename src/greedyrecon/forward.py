@@ -112,19 +112,20 @@ def solve_semilinear(
     the new y1 is the solve y1~ itself, which holds no -0.0 and so has the
     formula's bits, and y2 is written in place.  Returns the
     states in the shape of ``eps`` with a report; non-convergence is the
-    caller's decision.  G is evaluated on grid rows 1..n-1 only, one
-    contiguous block per item and component, and ``eps1 - gamma1 G`` is
-    written into those rows of a right-hand side whose rows 0 and n stay
-    zero: a Poisson solve reads only interior nodes, and skipping the
-    boundary columns as well would take a strided copy that cost more than
-    it saved at n = 128 and 256.  The iterates and the update norm stay on
-    the full fields, ring zeros included, so each norm keeps the bits of a
-    sum over every node.  A non-finite G raises the NumericalError of
-    :meth:`Nonlinearity.g`, naming the grid node.  A non-finite update norm
-    raises NumericalError
-    ("blew up"); so does a relative stencil residual above 1e-9 of an
-    item's last linear solve L y1~ = eps1 - gamma1 G(y_l), checked once
-    after the loop.
+    caller's decision.  gamma1 G alone (``g`` with ``first_only``: the
+    iteration never reads -gamma2 G) is evaluated on grid rows 1..n-1 only,
+    one contiguous block per item, and ``eps1 - gamma1 G`` is written into
+    those rows of a right-hand side whose rows 0 and n stay zero: a Poisson
+    solve reads only interior nodes, and skipping the boundary columns as
+    well would take a strided copy that cost more than it saved at n = 128
+    and 256.  The iterates and the update norm stay on the full fields, ring
+    zeros included, so each norm keeps the bits of a sum over every node.  A
+    non-finite G raises the NumericalError of :meth:`Nonlinearity.g`, naming
+    the grid node.  A non-finite update norm raises NumericalError ("blew
+    up"); so does a relative stencil residual above 1e-9 of an item's last
+    linear solve L y1~ = eps1 - gamma1 G(y_l), taken in the loop where the
+    item stops, so that no buffer keeps the stopped items' solves, and
+    checked once after the loop.
     """
     stack = _as_stack(eps, op.grid, "control")
     count = len(stack)
@@ -138,21 +139,19 @@ def solve_semilinear(
         y0 = np.asarray(y0, dtype=float).reshape(stack.shape)
     iterations = np.zeros(count, dtype=int)
     final = np.zeros(count)
-    last_rhs = np.empty((count,) + op.grid.shape)
-    last_sol = np.empty_like(last_rhs)
-    history = []
+    history, rel = [], []
     # right-hand sides: grid rows 1..n-1 are written, rows 0 and n stay zero
-    rhs_rows = np.zeros_like(last_rhs)
+    rhs_rows = np.zeros((count,) + op.grid.shape)
     # the items still iterating, compacted to the front of each working array
     items, item_nonlin = np.arange(count), nonlin
     y, eps1, base = y0.copy(), stack[:, 0, 1:-1], y0
-    # stopping items write their rows of this first y; the rest go on in a copy
+    # stopped items keep their rows of this first y; the rest go on in a copy
     states = y
     for ell in range(1, cfg.ell_max + 1):
-        # g on grid rows 1..n-1: one contiguous block per item and component
-        G1 = item_nonlin.g(y[..., 1:-1, :], origin=(1, 0))[:, 0]
+        # gamma1 G on grid rows 1..n-1: one contiguous block per item
         rhs = rhs_rows[:len(items)]
-        np.subtract(eps1, G1, out=rhs[:, 1:-1])
+        np.subtract(eps1, item_nonlin.g(y[..., 1:-1, :], origin=(1, 0), first_only=True),
+                    out=rhs[:, 1:-1])
         sol = op.solve(rhs)
         if cfg.lambda_a == 0.0:
             y1 = sol
@@ -174,24 +173,23 @@ def solve_semilinear(
             stopped = items[done]
             iterations[stopped] = ell
             final[stopped] = err[done]
-            if y is states and done.all():
-                # every item stops in this loop, none was compacted: no copies
-                last_rhs, last_sol = rhs, sol
-                break
-            states[stopped] = y[done]
-            last_rhs[stopped] = rhs[done]
-            last_sol[stopped] = sol[done]
+            # the stopping items' residuals are taken now, so no buffer keeps
+            # their last solves; when all stop, rows takes views, not copies
+            rows = slice(None) if done.all() else done
+            b = interior(rhs[rows])
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = op.apply_interior(interior(sol[rows])) - b
+                res = np.sqrt(_item_dots(res, res))
+                bnorm = np.sqrt(_item_dots(b, b))
+                rel.append(res[bnorm > 0] / bnorm[bnorm > 0])
+            if y is not states:
+                states[stopped] = y[rows]
             if done.all():
                 break
             going = ~done
             items, y, eps1, base = items[going], y[going], eps1[going], base[going]
             item_nonlin = nonlin.rows(items)
-    b = interior(last_rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = op.apply_interior(interior(last_sol)) - b
-        res = np.sqrt(_item_dots(res, res))
-        bnorm = np.sqrt(_item_dots(b, b))
-        rel = res[bnorm > 0] / bnorm[bnorm > 0]
+    rel = np.concatenate(rel)
     if not np.all(rel <= 1e-9):
         raise NumericalError(f"linear solve residual {np.max(rel):.3e} too large")
     report = SolveReport(ell, float(np.max(final)), bool(np.all(final <= cfg.tol2)),

@@ -102,27 +102,33 @@ class Nonlinearity:
         every item returns itself."""
         return self
 
-    def g(self, field: np.ndarray, origin: tuple = (0, 0)) -> np.ndarray:
+    def g(self, field: np.ndarray, origin: tuple = (0, 0),
+          first_only: bool = False) -> np.ndarray:
         """Lifted reaction term evaluated nodally on a 2-component field
-        (..., 2, n, n); leading axes index stack items.
+        (..., 2, n, n); leading axes index stack items.  ``first_only``
+        returns gamma1*G alone, (..., n, n), with the bits of
+        ``g(field)[..., 0, :, :]``; -gamma2*G is neither built nor scanned.
 
         Raises NumericalError with the offending node if any output is
         non-finite (e.g. overflow of the exponential target).  ``origin`` is
         the grid index (i, j) of the field's first node, (1, 0) for grid
-        rows 1..n-1, so that the error names the grid node.
+        rows 1..n-1, so that the error names the grid node.  Since
+        gamma1 >= gamma2 > 0, -gamma2*G is finite wherever gamma1*G is:
+        ``first_only`` raises on the same fields, with the same message.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             G = self.G(field[..., 0, :, :], field[..., 1, :, :])
-        out = np.empty(G.shape[:-2] + (2,) + G.shape[-2:])
+        out = np.empty(G.shape[:-2] + (1 if first_only else 2,) + G.shape[-2:])
         np.multiply(self.gamma1, G, out=out[..., 0, :, :])
-        np.multiply(-self.gamma2, G, out=out[..., 1, :, :])
+        if not first_only:
+            np.multiply(-self.gamma2, G, out=out[..., 1, :, :])
         if not np.isfinite(out).all():
             bad = np.argwhere(~np.isfinite(out))[0]
             raise NumericalError(
                 f"non-finite nonlinearity value at component {bad[-3]}, "
                 f"node ({bad[-2] + origin[0]}, {bad[-1] + origin[1]})"
             )
-        return out
+        return out[..., 0, :, :] if first_only else out
 
     def jacobian(self, y1, y2) -> np.ndarray:
         """Pointwise Jacobian [[g1*G1, g1*G2], [-g2*G1, -g2*G2]].

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -147,6 +148,22 @@ class TestSolveSemilinear:
         with pytest.raises(NumericalError, match="residual"):
             solve_semilinear(op, ClosedForm(0.2, 0.2, kind="bilinear"), eps,
                              FixedPointConfig())
+
+    def test_residual_of_the_item_that_stops_first_is_checked(self, monkeypatch):
+        g = Grid(8, 1.0)
+        op = NegLaplacian(g)
+        eps = random_control(g, np.random.default_rng(3))
+        stack = np.stack([1e-9 * eps, eps, 2.0 * eps])
+        nonlin = ClosedForm(0.2, 0.2, kind="bilinear")
+        _, report = solve_semilinear(op, nonlin, stack, FixedPointConfig())
+        assert list(report.item_iterations) == [1, 2, 2]
+        # only the solves of the whole stack are off, so of the stopped items
+        # only the first one's last solve is
+        exact = NegLaplacian.inverse_interior
+        monkeypatch.setattr(NegLaplacian, "inverse_interior", lambda self, b: (
+            (1.0 + 1e-6) * exact(self, b) if len(b) == len(stack) else exact(self, b)))
+        with pytest.raises(NumericalError, match="residual 1.000e-06"):
+            solve_semilinear(op, nonlin, stack, FixedPointConfig())
 
     def test_diverging_iterate_labelled_blow_up(self):
         # G = -200*y1 is far from monotone: the fixed point diverges
@@ -473,6 +490,47 @@ class TestInteriorNonlinearity:
         y, report = solve_semilinear(op, nonlin, zeros, FixedPointConfig())
         assert report.iterations == 1 and not np.any(np.signbit(y))
         self.assert_same_solve(op, nonlin, zeros, FixedPointConfig())
+
+
+class TestWorkingSet:
+    """The fixed point builds gamma1 G alone, and keeps no buffers of a
+    stack's stopped items."""
+
+    N = 256
+    BILINEAR = ClosedForm(0.2, 0.2, kind="bilinear")
+
+    def fine_control(self, eta, theta):
+        return constructed_control(eta, theta, 0.2, 0.2, Grid(self.N, 1.0))
+
+    def test_single_solve_holds_few_fields(self):
+        op = NegLaplacian(Grid(self.N, 1.0))
+        eps = self.fine_control(0.5, 0.4)
+        cfg = FixedPointConfig()
+        # a first solve builds what the mesh caches, which is not the loop's
+        solve_semilinear(op, self.BILINEAR, eps, cfg)
+        tracemalloc.start()
+        try:
+            solve_semilinear(op, self.BILINEAR, eps, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eps is one (2, n+1, n+1) field; building both components of g and
+        # buffers of the last solves for a residual check takes 7.1 fields
+        assert peak < 5.5 * eps.nbytes
+
+    def test_stack_that_compacts_equals_its_solves_alone(self):
+        op = NegLaplacian(Grid(self.N, 1.0))
+        controls = np.stack([self.fine_control(*s) for s in
+                             ((0.5, 0.4), (0.0, 0.0), (2.0, 1.5), (0.05, 0.02))])
+        cfg = FixedPointConfig()
+        ys, report = solve_semilinear(op, self.BILINEAR, controls, cfg)
+        # the zero control stops in the first loop, so the stack compacts
+        assert len(set(report.item_iterations)) > 2
+        assert report.item_iterations[1] == 1
+        for b, eps in enumerate(controls):
+            y, alone = solve_semilinear(op, self.BILINEAR, eps, cfg)
+            assert same_bits(ys[b], y)
+            assert report.item_iterations[b] == alone.iterations
 
 
 class TestSolveAdjoint:

@@ -12,7 +12,7 @@ from greedyrecon import (
     taylor_coeffs,
     unit_combo,
 )
-from greedyrecon.nonlinearity import powers
+from greedyrecon.nonlinearity import CLOSED_FORM_KINDS, powers
 
 from conftest import same_bits, signed_zeros
 
@@ -468,3 +468,48 @@ class TestTaylor:
         pos = basis.position_of((2, 0))
         combo = unit_combo(basis, pos, 0.2, 0.2)
         assert combo.G(1.5, -3.0) == pytest.approx(2.25)
+
+
+class TestFirstComponentOnly:
+    """``g(..., first_only=True)`` is the first lifted component of ``g``."""
+
+    @staticmethod
+    def draw(rng, kind, rows, gamma1, gamma2):
+        if kind in CLOSED_FORM_KINDS:
+            return ClosedForm(gamma1, gamma2, kind=kind)
+        basis = MonomialBasis(int(rng.integers(0, 4)))
+        shape = (rows, basis.size) if kind == "stacked rows" else (basis.size,)
+        coeffs = signed_zeros(rng, rng.uniform(-1.0, 1.0, shape), share=0.3)
+        return BasisCombo(gamma1, gamma2, basis=basis, coeffs=coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(CLOSED_FORM_KINDS + ("combo", "stacked rows")),
+           seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), stacked=st.booleans(),
+           gamma1=st.floats(0.05, 3.0), share=st.floats(0.1, 1.0),
+           origin=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    def test_equals_the_first_component_bit_for_bit(
+            self, kind, seed, rows, stacked, gamma1, share, origin):
+        rng = np.random.default_rng(seed)
+        nonlin = self.draw(rng, kind, rows, gamma1, gamma1 * share)
+        # a row-stacked combo acts on a stack; the others on one item or a stack
+        lead = (rows,) if stacked or kind == "stacked rows" else ()
+        field = signed_zeros(rng, rng.uniform(-2.0, 2.0, lead + (2, 3, 4)), share=0.3)
+        first = nonlin.g(field, origin, first_only=True)
+        assert first.shape == lead + (3, 4)
+        assert same_bits(first, nonlin.g(field, origin)[..., 0, :, :])
+
+    @pytest.mark.parametrize("y, gamma1", [(500.0, 0.3), (np.inf, 0.3), (np.nan, 0.3),
+                                           (100.0, 1e300)])
+    def test_overflow_raises_the_same_message(self, y, gamma1):
+        g = ClosedForm(gamma1, 0.2, kind="exponential")
+        field = np.zeros((3, 2, 4, 5))
+        field[1, :, 2, 3] = [y, 1.0]
+        field[2, 1, 0, 1] = y
+        messages = []
+        for first_only in (False, True):
+            # gamma1 * G overflows past a finite G with a warning
+            with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+                g.g(field, (1, 0), first_only=first_only)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "non-finite nonlinearity value at component 0, node (3, 3)")
