@@ -44,7 +44,7 @@ def main():
                                alpha_max=1.0, seed=0)
     states = ctx.solve(ctx.combo(alpha), np.stack(controls))
     sets, square = solution_sets(states)
-    union = np.concatenate([s.points for s in sets])
+    union = np.concatenate(sets)
     print(f"identification objective: {value:.3e}  (data matched precisely)")
     print(f"collinearity of ALL solution sets together: {collinearity(union):.2e}"
           "  (one line)")
@@ -56,7 +56,7 @@ def main():
 
     field = error_field(truth, alpha, ctx.basis, square, m=101)
     onset = max(float(np.max(np.abs(error_values(
-        truth, alpha, ctx.basis, s.points[:, 0], s.points[:, 1])))) for s in sets)
+        truth, alpha, ctx.basis, points[:, 0], points[:, 1])))) for points in sets)
     offset = float(np.max(np.abs(field.samples)))
     print(f"\nmax |error| on the probed line:   {onset:.3e}")
     print(f"max |error| on the full square:   {offset:.3e}")

@@ -47,7 +47,6 @@ from .nonlinearity import (
     MonomialBasis,
     Nonlinearity,
     taylor_coeffs,
-    unit_combo,
 )
 from .objectives import (
     ControlBox,
@@ -63,7 +62,6 @@ from .optimize import OptimConfig, OptimResult, minimize_box
 from .analysis import (
     ErrorField,
     LandscapeScan,
-    SolutionSet,
     StabilityStats,
     collinearity,
     constructed_control,

@@ -27,19 +27,9 @@ MIN_SQUARE_SIDE = 1e-6
 
 
 @dataclass
-class SolutionSet:
-    """Nodal state-value pairs (y1(x), y2(x)) traced by one control."""
-
-    points: np.ndarray  # shape (count, 2)
-    control_index: int
-
-
-@dataclass
 class ErrorField:
     """Reconstruction error sampled on a lattice over the bounding square."""
 
-    center: tuple[float, float]
-    side: float
     y1: np.ndarray  # lattice coordinates, shape (M,)
     y2: np.ndarray
     samples: np.ndarray  # shape (M, M), samples[i, j] = e(y1[i], y2[j])
@@ -47,7 +37,6 @@ class ErrorField:
 
 @dataclass
 class LandscapeScan:
-    index_pair: tuple[int, int]
     coeff1: np.ndarray
     coeff2: np.ndarray
     values: np.ndarray  # values[i, j] at (coeff1[i], coeff2[j]); NaN = failed solve
@@ -84,19 +73,17 @@ def identify(controls, data, ctx: SolverContext, optim: OptimConfig,
     return res.x, res.value, res
 
 
-def solution_sets(states) -> tuple[list[SolutionSet], tuple[tuple[float, float], float]]:
-    """Point clouds per state plus the smallest enclosing axis-aligned square.
+def solution_sets(states) -> tuple[list[np.ndarray], tuple[tuple[float, float], float]]:
+    """Point clouds per state, each a (count, 2) array of its nodal pairs
+    (y1(x), y2(x)), plus the smallest enclosing axis-aligned square.
 
     The square is returned as (center, side); side has a 1e-6 floor so a
     degenerate cloud still spans a usable lattice.
     """
     if len(states) == 0:
         raise ValueError("need at least one state")
-    sets = []
-    for m, y in enumerate(states):
-        pts = np.stack([y[0].ravel(), y[1].ravel()], axis=1)
-        sets.append(SolutionSet(pts, m))
-    allpts = np.concatenate([s.points for s in sets])
+    sets = [np.stack([y[0].ravel(), y[1].ravel()], axis=1) for y in states]
+    allpts = np.concatenate(sets)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     center = ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0)
@@ -116,17 +103,12 @@ def collinearity(points: np.ndarray) -> float:
     return float(s[1] / s[0])
 
 
-def _recon_G(basis: MonomialBasis, coeffs, y1, y2):
-    mono = basis.monomials(y1, y2)
-    c = np.asarray(coeffs, dtype=float)
-    return np.tensordot(c, mono[: c.size], axes=(0, 0))
-
-
 def error_values(truth: Nonlinearity, coeffs, basis: MonomialBasis, y1, y2):
-    """Pointwise scalar error G_true - G_reconstructed (gamma factors shared)."""
-    return truth.G(np.asarray(y1, float), np.asarray(y2, float)) - _recon_G(
-        basis, coeffs, y1, y2
-    )
+    """Pointwise scalar error G_true - G_reconstructed (gamma factors shared);
+    a coefficient vector shorter than the basis covers its first positions."""
+    c = np.asarray(coeffs, dtype=float)
+    recon = np.tensordot(c, np.stack(list(basis.monomials(y1, y2)))[: c.size], axes=(0, 0))
+    return truth.G(np.asarray(y1, float), np.asarray(y2, float)) - recon
 
 
 def error_field(truth: Nonlinearity, coeffs, basis: MonomialBasis,
@@ -138,7 +120,7 @@ def error_field(truth: Nonlinearity, coeffs, basis: MonomialBasis,
     y1 = np.linspace(cx - side / 2.0, cx + side / 2.0, m)
     y2 = np.linspace(cy - side / 2.0, cy + side / 2.0, m)
     g1, g2 = np.meshgrid(y1, y2, indexing="ij")
-    return ErrorField((cx, cy), side, y1, y2, error_values(truth, coeffs, basis, g1, g2))
+    return ErrorField(y1, y2, error_values(truth, coeffs, basis, g1, g2))
 
 
 def constructed_control(eta: float, theta: float, gamma1: float, gamma2: float,
@@ -209,7 +191,7 @@ def landscape_scan(controls, data, ctx: SolverContext, alpha_base,
                 values[a, b] = obj(alpha, need_grad=False).value
             except NumericalError:
                 pass  # leave NaN
-    return LandscapeScan((i, j), coeff1, coeff2, values)
+    return LandscapeScan(coeff1, coeff2, values)
 
 
 def slice_hessian(controls, data, ctx: SolverContext, alpha,

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import __version__, analysis
 from .config import (ConfigError, ExperimentConfig, build_context, greedy_config, read_text,
                      truth_nonlinearity)
 from .exceptions import GreedyFailure, NumericalError
@@ -197,9 +197,10 @@ def _control_lines(controls):
 
 
 def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dict,
-                 swaps=(), winners=()) -> None:
+                 winners=()) -> None:
     """Start ``out`` over with a design: delete every file in ARTIFACTS, then
-    write config.json, controls.csv, basis.json and a new summary.json."""
+    write config.json, controls.csv, basis.json and a new summary.json;
+    ``winners[k]`` is the candidate that took position k."""
     out.mkdir(parents=True, exist_ok=True)
     for name in ARTIFACTS:
         (out / name).unlink(missing_ok=True)
@@ -210,10 +211,10 @@ def write_design(cfg: ExperimentConfig, out: Path, controls, basis, summary: dic
         "degree": basis.degree,
         "exponents": [list(e) for e in basis.exponents],
         "order": [int(j) for j in basis.order],
-        "swaps": [list(s) for s in swaps],
+        "swaps": [[k, w] for k, w in enumerate(winners)],
         "winners": [int(w) for w in winners],
     })
-    write_json(out / "summary.json", dict(summary, tool_version=_version()))
+    write_json(out / "summary.json", dict(summary, tool_version=__version__))
 
 
 def write_taylor(out: Path, kind: str, alpha, basis) -> None:
@@ -253,7 +254,7 @@ def cmd_greedy(cfg: ExperimentConfig, out: Path) -> int:
     write_design(cfg, out, run.controls, run.basis,
                  {"greedy": {"k_final": run.k_final, "stopped_by": run.stopped_by,
                              "seconds": elapsed}},
-                 run.swaps, run.winners)
+                 run.winners)
     doc = {"failed": failure is not None, "k_final": run.k_final,
            "stopped_by": run.stopped_by, "f_max_history": run.f_max_history,
            "progress": run.progress}
@@ -295,16 +296,16 @@ def _identify(out: Path, cfg: ExperimentConfig, ctx, controls, kind: str,
 
     states = ctx.solve(ctx.combo(alpha), np.stack(controls))
     sets, square = analysis.solution_sets(states)
-    coll = [analysis.collinearity(s.points) for s in sets]
-    coll_union = analysis.collinearity(np.concatenate([s.points for s in sets]))
+    coll = [analysis.collinearity(points) for points in sets]
+    coll_union = analysis.collinearity(np.concatenate(sets))
     efield = analysis.error_field(truth, alpha, ctx.basis, square,
                                   m=cfg.error_lattice_m)
     write_matrix_csv(out / "error_field.csv", "y2\\y1", efield.y1, efield.y2,
                      efield.samples.T)
     onset = max(
         float(np.max(np.abs(analysis.error_values(truth, alpha, ctx.basis,
-                                                   s.points[:, 0], s.points[:, 1]))))
-        for s in sets
+                                                   points[:, 0], points[:, 1]))))
+        for points in sets
     )
     offset = float(np.max(np.abs(efield.samples)))
 
@@ -444,12 +445,6 @@ def cmd_all(cfg: ExperimentConfig, out: Path) -> int:
     if code != EXIT_OK:
         return code
     return cmd_landscape(out, "auto", 21, 0.0)
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # commands that read the config.json of the design in the artifact directory;

@@ -95,10 +95,6 @@ class GreedyRun:
         return [rec["winner"] for rec in self.progress]
 
     @property
-    def swaps(self) -> list:
-        return [(rec["k"], rec["winner"]) for rec in self.progress]
-
-    @property
     def f_max_history(self) -> list:
         return [rec["f_max"] for rec in self.progress]
 
@@ -164,22 +160,22 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
     """Optimize a control for every candidate in ``betas`` against its fitted
     surrogate, and pick the winner for position k.
 
-    Every candidate runs from ``starts`` and one random constant control
-    drawn from its own stream; all runs of the stage advance in lockstep on
-    the score times discrimination_scale(ctx.grid).  Returns (control,
-    progress record); the record's scores and f_max are unscaled, and its
-    ``stats`` are the stage's from :func:`_stage_outcome`."""
+    Every candidate runs from the zero control, ``starts`` and a random
+    constant control from its own stream, in that order (it decides ties);
+    all runs advance in lockstep on the score times discrimination_scale.
+    Returns (control, progress record); the record's scores and f_max are
+    unscaled, and its ``stats`` are the stage's from :func:`_stage_outcome`."""
     name = "initialization" if stage == STAGE_INIT else "splitting"
     candidates = sorted(betas)
     objectives = [DiscriminationObjective(ctx, betas[c], c, cfg.nu) for c in candidates]
+    lo, hi = cfg.box.flat_bounds(ctx.grid)
     # the random start is a CONSTANT control: uniform nodal noise is
     # smoothed away by the solve and makes a poor start at fine meshes,
     # while the informative controls are smooth and large-scale
     run_starts = [
-        [*starts, control_to_vec(constant_control(
+        [np.zeros(lo.size), *starts, control_to_vec(constant_control(
             ctx.grid, cfg.box.sample_constant(stage_rng(cfg.seed, stage, k, c))))]
         for c in candidates]
-    lo, hi = cfg.box.flat_bounds(ctx.grid)
     scale = discrimination_scale(ctx.grid)
     # grad_tol holds in the L2-representer scale: one factor of h takes it to
     # the flat gradient (which carries h^2), and scale to the scaled score
@@ -205,12 +201,11 @@ def _discrimination_stage(ctx: SolverContext, cfg: GreedyConfig, stage: int,
 def run_initialization(ctx: SolverContext, cfg: GreedyConfig):
     """Pick the most distinguishable candidate for position 0 and its
     control.  Every candidate is discriminated against the zero
-    nonlinearity (``beta=()``), starting from the zero control.
+    nonlinearity (``beta=()``), starting, like every stage, from zero.
 
     Returns (control, progress record)."""
     betas = {c: np.zeros(0) for c in range(ctx.basis.size)}
-    zero_start = control_to_vec(ctx.grid.zero_field())
-    return _discrimination_stage(ctx, cfg, STAGE_INIT, 0, betas, [zero_start])
+    return _discrimination_stage(ctx, cfg, STAGE_INIT, 0, betas, [])
 
 
 def fitting_targets(ctx: SolverContext, candidate_pos: int, controls):
@@ -254,12 +249,9 @@ def run_fitting_sweep(ctx: SolverContext, k: int, controls, cfg: GreedyConfig):
 
 def run_splitting(ctx: SolverContext, k: int, betas: dict, cfg: GreedyConfig,
                   prev_control=None):
-    """Find the next control and the candidate for position k.
-
-    Returns (control, progress record)."""
-    starts = [control_to_vec(ctx.grid.zero_field())]
-    if prev_control is not None:
-        starts.append(control_to_vec(prev_control))
+    """Find the next control and the candidate for position k; ``prev_control``,
+    when given, is a start too.  Returns (control, progress record)."""
+    starts = [] if prev_control is None else [control_to_vec(prev_control)]
     return _discrimination_stage(ctx, cfg, STAGE_SPLIT, k, betas, starts)
 
 

@@ -67,14 +67,15 @@ class MonomialBasis:
         """Position of the monomial with the given exponent pair."""
         return self.order.index(self.exponents.index(tuple(exp)))
 
-    def monomials(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Stack of all K monomials at the given points, in basis order.
-
-        Returns an array of shape (K,) + broadcast(y1, y2).shape.
-        """
+    def monomials(self, y1, y2):
+        """The K monomial fields at the given points, one at a time in position
+        order, each of shape broadcast(y1, y2).shape; a one-variable monomial
+        is its entry of the power table, as 1 * x == x."""
+        y1, y2 = np.broadcast_arrays(np.asarray(y1, float), np.asarray(y2, float))
         p1 = powers(y1, self.degree)
         p2 = powers(y2, self.degree)
-        return np.stack([p1[i1] * p2[i2] for i1, i2 in self.ordered_exponents()])
+        for i1, i2 in self.ordered_exponents():
+            yield p1[i1] * p2[i2] if i1 and i2 else p2[i2] if i2 else p1[i1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,13 +231,6 @@ def powers(y, degree: int, zeroth: bool = True) -> list:
     for _ in range(degree - 1):
         table.append(table[-1] * y)
     return table
-
-
-def unit_combo(basis: MonomialBasis, position: int, gamma1: float, gamma2: float) -> BasisCombo:
-    """The single-element nonlinearity with coefficient 1 at ``position``."""
-    coeffs = np.zeros(position + 1)
-    coeffs[position] = 1.0
-    return BasisCombo(gamma1, gamma2, basis=basis, coeffs=coeffs)
 
 
 @dataclass(frozen=True, eq=False)

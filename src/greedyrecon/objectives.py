@@ -28,6 +28,7 @@ Poisson pair of its fixed controls, where every forward solve starts, once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .forward import FixedPointConfig, solve_adjoint, solve_semilinear
 from .grid import NegLaplacian, interior
-from .nonlinearity import BasisCombo, MonomialBasis, powers, unit_combo
+from .nonlinearity import BasisCombo, MonomialBasis
 
 
 class ObjectiveEval(NamedTuple):
@@ -45,7 +46,7 @@ class ObjectiveEval(NamedTuple):
 
 @dataclass(frozen=True)
 class ControlBox:
-    """Componentwise bounds eps_a <= eps(x) <= eps_b for admissible controls."""
+    """Componentwise finite bounds eps_a <= eps(x) <= eps_b on admissible controls."""
 
     eps_a: tuple[float, float]
     eps_b: tuple[float, float]
@@ -55,6 +56,8 @@ class ControlBox:
         b = np.asarray(self.eps_b, dtype=float)
         if a.shape != (2,) or b.shape != (2,):
             raise ValueError("bounds must be pairs")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("control bounds must be finite")
         if np.any(a > b):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "eps_a", tuple(a))
@@ -105,12 +108,14 @@ def constant_control(grid, pair) -> np.ndarray:
 
 
 def project_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of x onto [lo, hi]."""
+    """Componentwise clamp of x onto [lo, hi], every bound finite."""
     x = np.asarray(x, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if x.shape != lo.shape or x.shape != hi.shape:
         raise ValueError("mismatched lengths in box projection")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("box bounds must be finite")
     if np.any(lo > hi):
         raise ValueError("lower bound exceeds upper bound")
     return np.clip(x, lo, hi)
@@ -134,7 +139,8 @@ class SolverContext:
         return BasisCombo(self.gamma1, self.gamma2, basis=self.basis, coeffs=coeffs)
 
     def unit(self, position: int) -> BasisCombo:
-        return unit_combo(self.basis, position, self.gamma1, self.gamma2)
+        """The single-element nonlinearity with coefficient 1 at ``position``."""
+        return self.combo(np.eye(position + 1)[position])
 
     def solve(self, nonlin, eps, y0=None) -> np.ndarray:
         """States for one control (2, n+1, n+1) or a stack (B, 2, n+1, n+1);
@@ -156,24 +162,13 @@ def _squared_norms(grid, f: np.ndarray) -> np.ndarray:
 
 def _coeff_misfit_grad(ctx: SolverContext, states, adjoints, k: int) -> np.ndarray:
     """sum_m <q_m, Phi_j(y_m)>_h for j < k, with Phi_j = (g1*phi_j, -g2*phi_j),
-    over stacks of states and adjoints (M, 2, n+1, n+1), one monomial at a
-    time in one scratch array.  A zeroth power is a factor of exact ones,
-    so the product skips it."""
+    over stacks of states and adjoints (M, 2, n+1, n+1), one monomial field
+    of the basis at a time."""
     y = np.ascontiguousarray(interior(states))
     q = interior(adjoints)
     r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
-    exps = [ctx.basis.exponent(j) for j in range(k)]
-    p1 = powers(y[:, 0], max((e[0] for e in exps), default=0))
-    p2 = powers(y[:, 1], max((e[1] for e in exps), default=0))
-    t = np.empty_like(r)
-    pairing = np.empty(k)
-    for j, (i1, i2) in enumerate(exps):
-        if i1 and i2:
-            monomial = np.multiply(p1[i1], p2[i2], out=t)
-        else:
-            monomial = p2[i2] if i2 else p1[i1]
-        pairing[j] = np.vdot(monomial, r)
-    return ctx.grid.h**2 * pairing
+    fields = islice(ctx.basis.monomials(y[:, 0], y[:, 1]), k)
+    return ctx.grid.h**2 * np.array([np.vdot(monomial, r) for monomial in fields])
 
 
 class FittingObjective:

@@ -90,10 +90,6 @@ def _setulb():
     return load("optimize", "_lbfgsb").setulb
 
 
-def _pg_norm(x, grad, lo, hi) -> float:
-    return float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
-
-
 def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
     """One L-BFGS-B run as a generator: it yields each point it wants
     (value, gradient) at, is sent the ObjectiveEval there, and returns its
@@ -104,17 +100,16 @@ def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
     every step, and the run stops at ``max_iters`` iterations.  The
     value-based stop is off (``factr = 0``): our objectives live at tiny
     absolute scales, so stopping is by stationarity, the iteration cap, or
-    a stalled line search.  A box that fixes every variable needs no case
-    of its own: setulb evaluates the start once and stops converged.
+    a stalled line search.  Every bound is finite (:func:`project_box`
+    checks), so each variable has both (setulb's bound kind 2).  A box that
+    fixes every variable needs no case of its own: setulb evaluates the
+    start once and stops converged.
     """
     x = project_box(x0, lo, hi)
     n = x.size
     f, g = np.array(0.0), np.zeros(n)
     evals = iterations = 0
-    # setulb's bound kinds: 0 none, 1 lower only, 2 both, 3 upper only
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
-    low, up = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    nbd = np.full(n, 2, dtype=np.int32)
     m = LBFGS_MEMORY
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
@@ -125,7 +120,7 @@ def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
     setulb = _setulb()
     while True:
         g = g.astype(np.float64)
-        setulb(m, x, low, up, nbd, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave,
+        setulb(m, x, lo, hi, nbd, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave,
                LBFGS_MAXLS, ln_task)
         if task[0] == _TASK_FG:
             if not np.array_equal(x, x_seen):
@@ -140,7 +135,7 @@ def _lbfgsb(x0, lo, hi, cfg: OptimConfig):
         else:
             break
     x = np.clip(x, lo, hi)
-    pgn = _pg_norm(x, g, lo, hi)
+    pgn = float(np.linalg.norm(x - np.clip(x - g, lo, hi)))
     return OptimResult(x, float(f), pgn, iterations, pgn <= cfg.grad_tol, evals)
 
 
@@ -177,8 +172,9 @@ def multistart_minimize(evaluate, starts, lo, hi, cfg: OptimConfig) -> Lockstep:
     other starts go on.  Only when every start fails is the outcome an
     error, that of the first start.  Other exceptions propagate.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    # setulb reads the bounds in place, and only from contiguous float64
+    lo = np.ascontiguousarray(lo, dtype=float)
+    hi = np.ascontiguousarray(hi, dtype=float)
     runs, asking = {}, {}
     for p, group in enumerate(starts):
         for j, x0 in enumerate(group):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedyrecon import (
     ClosedForm,
@@ -24,8 +25,10 @@ from greedyrecon import (
 )
 
 from greedyrecon import analysis
+from greedyrecon.nonlinearity import CLOSED_FORM_KINDS, MonomialBasis, powers
 
-from conftest import constant_control, kappa, make_context, random_control, same_bits
+from conftest import (constant_control, kappa, make_context, random_control, same_bits,
+                      signed_zeros)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +126,7 @@ class TestSolutionSets:
         states = [np.zeros((2,) + ctx.grid.shape)]
         sets, (center, side) = solution_sets(states)
         assert len(sets) == 1
-        assert sets[0].points.shape == ((ctx.grid.n + 1) ** 2, 2)
+        assert sets[0].shape == ((ctx.grid.n + 1) ** 2, 2)
         assert center == (0.0, 0.0)
         assert side == 1e-6
 
@@ -132,9 +135,9 @@ class TestSolutionSets:
         field = np.stack([eta * ctx.grid.sample_scalar(kappa),
                           -theta * ctx.grid.sample_scalar(kappa)])
         sets, _ = solution_sets([field])
-        assert collinearity(sets[0].points) <= 1e-12
+        assert collinearity(sets[0]) <= 1e-12
         # points live on the segment towards (eta, -theta)
-        pts = sets[0].points
+        pts = sets[0]
         assert np.all(pts[:, 0] >= -1e-12) and np.all(pts[:, 1] <= 1e-12)
         mask = np.abs(pts[:, 0]) > 1e-9
         slopes = pts[mask, 1] / pts[mask, 0]
@@ -154,6 +157,16 @@ class TestSolutionSets:
         rng = np.random.default_rng(5)
         blob = rng.standard_normal((500, 2))
         assert collinearity(blob) > 0.5
+
+
+def stacked_error_values(truth, coeffs, basis, y1, y2):
+    """G_true minus the coefficients contracted with the stack of every
+    monomial, each a full product of two power-table entries, zeroth powers
+    included: the formula error_values' bits are pinned to."""
+    p1, p2 = powers(y1, basis.degree), powers(y2, basis.degree)
+    mono = np.stack([p1[i1] * p2[i2] for i1, i2 in basis.ordered_exponents()])
+    c = np.asarray(coeffs, dtype=float)
+    return truth.G(y1, y2) - np.tensordot(c, mono[: c.size], axes=(0, 0))
 
 
 class TestErrorField:
@@ -187,6 +200,22 @@ class TestErrorField:
         ef = error_field(truth, alpha, ctx.basis, ((0.1, -0.2), 1.5), m=11)
         direct = error_values(truth, alpha, ctx.basis, ef.y1[3], ef.y2[7])
         assert ef.samples[3, 7] == direct
+
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 5), kind=st.sampled_from(CLOSED_FORM_KINDS),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(), data=st.data())
+    def test_error_values_equal_stacked_formula_bit_for_bit(self, degree, kind, seed,
+                                                            shuffle, data):
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(degree)
+        if shuffle:
+            basis = MonomialBasis(degree, rng.permutation(basis.size))
+        # coefficient vectors shorter than the basis cover its first positions
+        coeffs = rng.uniform(-1.0, 1.0, data.draw(st.integers(0, basis.size)))
+        y1, y2 = signed_zeros(rng, rng.uniform(-1.5, 1.5, (2, 4, 6)))
+        truth = ClosedForm(0.2, 0.2, kind=kind)
+        assert same_bits(error_values(truth, coeffs, basis, y1, y2),
+                         stacked_error_values(truth, coeffs, basis, y1, y2))
 
     def test_minimum_lattice(self, ctx):
         with pytest.raises(ValueError):
@@ -273,8 +302,8 @@ class TestRandomConstantControls:
             controls = random_constant_controls(6, box, ctx.grid, seed=1, mode=mode)
             states = generate_data(truth, controls, ctx)
             sets, _ = solution_sets(states)
-            assert max(collinearity(s.points) for s in sets) <= 0.05
-            unions[mode] = collinearity(np.concatenate([s.points for s in sets]))
+            assert max(collinearity(points) for points in sets) <= 0.05
+            unions[mode] = collinearity(np.concatenate(sets))
         assert unions["diagonal"] <= 0.05
         assert unions["independent"] > 0.05
 

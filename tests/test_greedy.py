@@ -159,7 +159,7 @@ class TestStructure:
             assert run.f_max_history[-1] <= cfg.tol1
         else:
             assert run.k_final == ctx.basis.size
-        assert len(run.swaps) == run.k_final
+        assert len(run.winners) == run.k_final
         assert len(run.progress) == run.k_final
 
     def test_stages_leave_the_context_as_it_is(self):
@@ -365,7 +365,6 @@ class TestFailureHandling:
         assert len(partial.controls) == 1
         assert len(partial.progress) == 1
         assert partial.winners == [partial.progress[0]["winner"]]
-        assert partial.swaps == [(0, partial.progress[0]["winner"])]
         assert partial.f_max_history == [partial.progress[0]["f_max"]]
         assert partial.stopped_by == "failed"
 

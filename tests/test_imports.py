@@ -63,6 +63,22 @@ def test_cli_import_loads_no_scipy_package():
     assert ast.literal_eval(out) == []
 
 
+def test_cli_entry_points_run_in_a_fresh_interpreter():
+    import tomllib
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "greedyrecon.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: greedyrecon")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, attr = target["greedyrecon"].split(":")
+    run_fresh(f"import {module}, greedyrecon.cli\n"
+              f"assert {module}.{attr} is greedyrecon.cli.main\n")
+
+
 def test_fine_mesh_solves_load_no_scipy_module():
     out = run_fresh(
         "import sys, numpy as np\n"

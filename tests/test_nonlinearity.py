@@ -10,11 +10,10 @@ from greedyrecon import (
     MonomialBasis,
     NumericalError,
     taylor_coeffs,
-    unit_combo,
 )
 from greedyrecon.nonlinearity import CLOSED_FORM_KINDS, powers
 
-from conftest import same_bits, signed_zeros
+from conftest import make_context, same_bits, signed_zeros
 
 
 class TestBasisEnumeration:
@@ -174,7 +173,7 @@ class TestPowerTables:
         coeffs[rng.random(coeffs.size) < 0.3] = 0.0
         combo = BasisCombo(0.3, 0.2, basis=basis, coeffs=coeffs)
         y1, y2 = rng.uniform(-2.0, 2.0, (2, 5, 7))
-        mono = basis.monomials(y1, y2)
+        mono = np.stack(list(basis.monomials(y1, y2)))
         ref_mono = np.stack([y1**i1 * y2**i2 for i1, i2 in basis.ordered_exponents()])
         assert np.all(np.abs(mono - ref_mono) <= 1e-13 * np.abs(ref_mono))
         # each term differs from its formula by a few roundings, so the
@@ -368,7 +367,7 @@ class TestPermutationSafety:
         ref = [combo.G(p[0], p[1]) for p in pts]
         # the only admissible difference is summation order, so the slack is
         # the backward-error bound eps * sum |c_j phi_j|
-        mono = lambda p: basis.monomials(p[0], p[1])
+        mono = lambda p: np.stack(list(basis.monomials(p[0], p[1])))
         floors = [2e-15 * float(np.sum(np.abs(coeffs * mono(p)))) for p in pts]
         for _ in range(10):
             perm = rng.permutation(basis.size)
@@ -464,9 +463,8 @@ class TestTaylor:
         assert all(a > b for a, b in zip(worst, worst[1:]))
 
     def test_unit_combo_is_single_monomial(self):
-        basis = MonomialBasis(2)
-        pos = basis.position_of((2, 0))
-        combo = unit_combo(basis, pos, 0.2, 0.2)
+        ctx = make_context(n=4, degree=2)
+        combo = ctx.unit(ctx.basis.position_of((2, 0)))
         assert combo.G(1.5, -3.0) == pytest.approx(2.25)
 
 

@@ -20,6 +20,7 @@ from greedyrecon import (
 )
 from greedyrecon.forward import solve_adjoint
 from greedyrecon.nonlinearity import powers
+from greedyrecon import objectives
 from greedyrecon.objectives import _coeff_misfit_grad, discriminate
 
 from conftest import make_context, random_control, same_bits, signed_zeros
@@ -73,6 +74,13 @@ class TestControlBox:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             ControlBox((1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ControlBox((bad, -1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ControlBox((-1.0, -1.0), (1.0, bad))
 
     def test_contains(self, ctx):
         box = ControlBox((-1.0, -1.0), (1.0, 1.0))
@@ -326,6 +334,56 @@ class TestMisfitPairing:
         for k in range(ctx.basis.size + 1):
             assert same_bits(_coeff_misfit_grad(ctx, states, adjoints, k),
                              per_term_pairing(ctx, states, adjoints, k))
+
+
+def exponent_loop_pairing(ctx, states, adjoints, k):
+    """The pairing as an exponent loop over two power tables, the
+    two-variable monomials formed in one scratch array and the one-variable
+    ones read from their table: the formula the gradient's bits are pinned
+    to, independent of how the basis forms its monomial fields."""
+    y = np.ascontiguousarray(states[..., 1:-1, 1:-1])
+    q = adjoints[..., 1:-1, 1:-1]
+    r = ctx.gamma1 * q[:, 0] - ctx.gamma2 * q[:, 1]
+    exps = [ctx.basis.exponent(j) for j in range(k)]
+    p1 = powers(y[:, 0], max((e[0] for e in exps), default=0))
+    p2 = powers(y[:, 1], max((e[1] for e in exps), default=0))
+    t = np.empty_like(r)
+    pairing = np.empty(k)
+    for j, (i1, i2) in enumerate(exps):
+        if i1 and i2:
+            monomial = np.multiply(p1[i1], p2[i2], out=t)
+        else:
+            monomial = p2[i2] if i2 else p1[i1]
+        pairing[j] = np.vdot(monomial, r)
+    return ctx.grid.h**2 * pairing
+
+
+class TestGradientAgainstExponentLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 5), n=st.integers(2, 7), count=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(), data=st.data())
+    def test_fitting_gradient_equals_exponent_loop_bit_for_bit(
+            self, degree, n, count, seed, shuffle, data):
+        # the states and adjoints are drawn stacks holding signed zeros,
+        # handed to the objective in place of its solves
+        rng = np.random.default_rng(seed)
+        ctx = make_context(n=n, degree=degree)
+        if shuffle:
+            basis = MonomialBasis(degree, rng.permutation(ctx.basis.size))
+            ctx = SolverContext(ctx.op, basis, ctx.gamma1, ctx.gamma2, ctx.fp)
+        k = data.draw(st.integers(1, ctx.basis.size))
+        shape = (count, 2) + ctx.grid.shape
+        states = signed_zeros(rng, rng.uniform(-2.0, 2.0, shape))
+        adjoints = signed_zeros(rng, rng.uniform(-1.0, 1.0, shape))
+        targets = rng.uniform(-1.0, 1.0, shape)
+        beta = signed_zeros(rng, rng.uniform(0.0, 0.3, k))
+        obj = FittingObjective(ctx, list(np.zeros(shape)), list(targets), nu=1e-3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SolverContext, "solve", lambda self, *args: states)
+            mp.setattr(objectives, "solve_adjoint", lambda *args: adjoints)
+            grad = obj(beta).grad
+        ref = obj.nu * beta + exponent_loop_pairing(ctx, states, adjoints, k)
+        assert same_bits(grad, ref)
 
 
 class TestCachedPoissonPair:

@@ -152,6 +152,40 @@ class TestMinimizeBox:
         assert np.all(np.abs(seen[0]) <= 2.0)
 
 
+class TestFiniteBounds:
+    """Every box bounds each variable on both sides: an infinite or NaN
+    bound is an input error, raised before the oracle sees a point."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_bound_rejected_before_any_evaluation(self, side, bad):
+        seen = []
+
+        def fun(x, need_grad=True):
+            seen.append(x.copy())
+            return quadratic([0.0, 0.0])(x, need_grad)
+
+        bounds = [b.copy() for b in BOX2]
+        bounds[side][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            minimize_box(fun, np.zeros(2), *bounds, OptimConfig())
+        with pytest.raises(ValueError, match="finite"):
+            multistart_minimize(one_at_a_time(fun), [[np.zeros(2)], [np.ones(2)]],
+                                *bounds, OptimConfig())
+        assert seen == []
+
+    def test_bounds_are_read_as_given_and_left_unchanged(self):
+        # strided bounds run as their contiguous copies do, and stay as they were
+        lo, hi = np.full(4, -0.5)[::2], np.linspace(0.5, 2.0, 4)[::2]
+        before = lo.copy(), hi.copy()
+        cfg = OptimConfig(max_iters=200, grad_tol=1e-10)
+        res = minimize_box(rosenbrock, np.zeros(2), lo, hi, cfg)
+        ref = minimize_box(rosenbrock, np.zeros(2), lo.copy(), hi.copy(), cfg)
+        assert np.array_equal(res.x, ref.x) and res.value == ref.value
+        assert (res.iterations, res.evals) == (ref.iterations, ref.evals)
+        assert np.array_equal(lo, before[0]) and np.array_equal(hi, before[1])
+
+
 def one_at_a_time(fun):
     """An oracle for the multistart engine that evaluates a one-point oracle
     at each point."""
